@@ -15,6 +15,7 @@ import numpy as np
 from . import logit, pipeline
 from .errors import InputError, StatisticalError
 from .evaluation import (
+    calibration_from_dict,
     calibration_strata,
     calibration_text,
     calibration_to_dict,
@@ -179,14 +180,7 @@ def _cmd_report(args) -> int:
             r = roc_info[group]
             print(f"AUC ({group}): {r['auc']:.3f} "
                   f"(95% CI {r['auc_ci_low']:.3f}-{r['auc_ci_high']:.3f})")
-        strata = study["calibration"]["strata"]
-        from .evaluation import CalibrationReport, Stratum
-        report = CalibrationReport(
-            strata=tuple(Stratum(s["label"], s["n_obs"], s["n_pos"],
-                                 s["observed_rate"], s["mean_predicted"]) for s in strata),
-            merged=tuple(study["calibration"]["merged"]),
-        )
-        print(calibration_text(report), end="")
+        print(calibration_text(calibration_from_dict(study["calibration"])), end="")
     return EXIT_OK
 
 

@@ -1,9 +1,13 @@
 """Discrimination, calibration, model comparison and agreement statistics.
 
-ROC curves come from a threshold sweep over distinct scores (ties grouped);
-the AUC is computed twice, by trapezoid and by tie-corrected pair counting,
-and the two are asserted equal. The AUC confidence interval uses DeLong's
-nonparametric variance estimate.
+ROC curves work on per-distinct-score counts: one sort groups tied scores,
+and once the counts are taken every step is O(#distinct scores). The AUC is
+computed twice from those counts, by trapezoid and by tie-corrected pair
+counting, and a disagreement raises. The AUC confidence interval uses
+DeLong's nonparametric variance; its structural components are constant
+within a tie group, so it is a count-weighted variance over the groups (the
+single-sort form of Sun & Xu, 2014). Calibration strata are formed and
+merged on per-quartile counts.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import (
     TooFewRecordsError,
 )
 
-Z95 = 1.96
+Z95 = 1.96  # two-sided 95% normal multiplier (DeLong, Wald and kappa intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -41,35 +45,17 @@ class RocCurve:
     n_neg: int
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="mergesort")
-    z = x[order]
-    n = len(x)
-    ranks = np.zeros(n)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and z[j] == z[i]:
-            j += 1
-        ranks[i:j] = 0.5 * (i + j - 1) + 1
-        i = j
-    out = np.empty(n)
-    out[order] = ranks
-    return out
+def _pair_count_auc(pos: np.ndarray, neg_below: np.ndarray, n_pos: int, n_neg: int) -> float:
+    """Tie-corrected pair counting: concordant plus half-tied (pos, neg) pairs."""
+    return float(pos @ neg_below) / (n_pos * n_neg)
 
 
-def _delong_variance(scores: np.ndarray, labels: np.ndarray) -> float:
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    m, n = len(pos), len(neg)
-    tx = _midranks(pos)
-    ty = _midranks(neg)
-    tz = _midranks(np.concatenate([pos, neg]))
-    v01 = (tz[:m] - tx) / n
-    v10 = 1.0 - (tz[m:] - ty) / m
-    s01 = v01.var(ddof=1) if m > 1 else 0.0
-    s10 = v10.var(ddof=1) if n > 1 else 0.0
-    return s01 / m + s10 / n
+def _weighted_var(values: np.ndarray, weights: np.ndarray, total: int) -> float:
+    """Sample variance (ddof=1) of `values`, each repeated `weights` times."""
+    if total < 2:
+        return 0.0
+    mean = (weights @ values) / total
+    return float(weights @ (values - mean) ** 2) / (total - 1)
 
 
 def roc_auc(scores, labels) -> RocCurve:
@@ -82,6 +68,8 @@ def roc_auc(scores, labels) -> RocCurve:
     labels = np.asarray(labels, dtype=float)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InputError("scores and labels must be equal-length 1-d arrays")
+    if np.isnan(scores).any():
+        raise InputError("scores must not be NaN")
     if not np.isin(labels, (0.0, 1.0)).all():
         raise InputError("labels must be binary (0/1)")
     n_pos = int(labels.sum())
@@ -89,24 +77,31 @@ def roc_auc(scores, labels) -> RocCurve:
     if n_pos == 0 or n_neg == 0:
         raise OneClassError()
 
-    order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
-    y = labels[order]
-    distinct = np.r_[np.where(np.diff(s))[0], len(s) - 1]  # last index of each tie group
-    tp = np.cumsum(y)[distinct]
-    fp = np.cumsum(1 - y)[distinct]
-    tpr = np.r_[0.0, tp / n_pos]
-    fpr = np.r_[0.0, fp / n_neg]
-    thresholds = (math.inf,) + tuple(float(v) for v in s[distinct])
+    # The only sort of the scores: distinct values ascending, then the
+    # positive and negative counts at each value.
+    values, group = np.unique(scores, return_inverse=True)
+    pos = np.bincount(group, weights=labels, minlength=len(values))
+    neg = np.bincount(group, minlength=len(values)) - pos
+    # Thresholds from the highest distinct score down; a record is called
+    # positive when its score is at or above the threshold.
+    tpr = np.r_[0.0, np.cumsum(pos[::-1]) / n_pos]
+    fpr = np.r_[0.0, np.cumsum(neg[::-1]) / n_neg]
+    thresholds = (math.inf,) + tuple(values[::-1].tolist())
 
     auc_trap = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
 
-    # Independent tie-corrected pair-counting AUC via midranks.
-    ranks = _midranks(scores)
-    auc_pairs = float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
-    assert abs(auc_trap - auc_pairs) < 1e-12, (auc_trap, auc_pairs)
+    # Per distinct score: negatives below it and positives above it, ties counting half.
+    neg_below = np.cumsum(neg) - 0.5 * neg
+    pos_above = n_pos - np.cumsum(pos) + 0.5 * pos
+    auc_pairs = _pair_count_auc(pos, neg_below, n_pos, n_neg)
+    if not abs(auc_trap - auc_pairs) < 1e-12:
+        raise RuntimeError(
+            f"trapezoid AUC {auc_trap!r} disagrees with pair-count AUC {auc_pairs!r}")
 
-    var = _delong_variance(scores, labels)
+    # DeLong's structural components are constant within a tie group: V10
+    # of a positive is neg_below / n_neg, V01 of a negative pos_above / n_pos.
+    var = (_weighted_var(neg_below / n_neg, pos, n_pos) / n_pos
+           + _weighted_var(pos_above / n_pos, neg, n_neg) / n_neg)
     half = Z95 * math.sqrt(max(var, 0.0))
     return RocCurve(
         points=tuple(zip(fpr.tolist(), tpr.tolist())),
@@ -235,6 +230,10 @@ def calibration_strata(predicted, labels, n_strata: int = 4,
     labels = np.asarray(labels, dtype=float)
     if predicted.shape != labels.shape or predicted.ndim != 1:
         raise InputError("predicted and labels must be equal-length 1-d arrays")
+    if np.isnan(predicted).any():
+        raise InputError("predicted probabilities must not be NaN")
+    if not np.isin(labels, (0.0, 1.0)).all():
+        raise InputError("labels must be binary (0/1)")
     n = len(predicted)
     if n < n_strata:
         raise TooFewRecordsError(f"need at least {n_strata} records, got {n}")
@@ -243,56 +242,45 @@ def calibration_strata(predicted, labels, n_strata: int = 4,
     # side='left': a value equal to an edge falls in the lower stratum, so
     # tied values always land together.
     bin_of = np.searchsorted(edges, predicted, side="left")
+    n_obs = np.bincount(bin_of, minlength=n_strata)
+    n_pos = np.bincount(bin_of, weights=labels, minlength=n_strata)
+    p_sum = np.bincount(bin_of, weights=predicted, minlength=n_strata)
 
-    groups: list[tuple[list[int], np.ndarray]] = []  # (quartile indices, member mask)
+    def merge(a, b):
+        return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+
+    # (quartile indices, n_obs, n_pos, sum of predicted) per stratum. An
+    # empty quartile (its ties fell into a lower one) folds into its
+    # predecessor; Q1 is never empty, as edges[0] >= min(predicted).
+    groups: list[tuple[list[int], int, float, float]] = []
     for q in range(n_strata):
-        mask = bin_of == q
-        if not mask.any():
-            if groups:
-                groups[-1][0].append(q)      # tie collapse: fold into predecessor
-            else:
-                groups.append(([q], mask))   # leading empty; absorbed below
-            continue
-        if groups and groups[-1][1].sum() == 0:
-            prev_q, _ = groups.pop()
-            groups.append((prev_q + [q], mask))
+        g = ([q], int(n_obs[q]), float(n_pos[q]), float(p_sum[q]))
+        if g[1] == 0:
+            groups[-1] = merge(groups[-1], g)
         else:
-            groups.append(([q], mask))
-    groups = [(qs, m) for qs, m in groups if m.sum() > 0]
-
-    merged_from_ties = [qs for qs, _ in groups if len(qs) > 1]
+            groups.append(g)
 
     # Merge low-event strata forward (into the next stratum; backward for the last).
     while len(groups) > 1:
-        counts = [labels[m].sum() for _, m in groups]
-        low = next((i for i, c in enumerate(counts) if c < min_positives), None)
+        low = next((i for i, g in enumerate(groups) if g[2] < min_positives), None)
         if low is None:
             break
-        j = low + 1 if low + 1 < len(groups) else low - 1
-        a, b = sorted((low, j))
-        qs = groups[a][0] + groups[b][0]
-        mask = groups[a][1] | groups[b][1]
-        groups[a:b + 1] = [(qs, mask)]
-
-    def label_of(qs):
-        qs = sorted(qs)
-        if len(qs) == 1:
-            return f"Q{qs[0] + 1}"
-        return f"Q{qs[0] + 1}-Q{qs[-1] + 1}"
+        a = low if low + 1 < len(groups) else low - 1
+        groups[a:a + 2] = [merge(groups[a], groups[a + 1])]
 
     strata = []
     merged = []
-    for qs, mask in groups:
-        s = Stratum(
-            label=label_of(qs),
-            n_obs=int(mask.sum()),
-            n_pos=int(labels[mask].sum()),
-            observed_rate=float(labels[mask].mean()),
-            mean_predicted=float(predicted[mask].mean()),
-        )
-        strata.append(s)
+    for qs, count, pos, p_total in groups:
+        label = f"Q{qs[0] + 1}" if len(qs) == 1 else f"Q{qs[0] + 1}-Q{qs[-1] + 1}"
+        strata.append(Stratum(
+            label=label,
+            n_obs=count,
+            n_pos=int(pos),
+            observed_rate=pos / count,
+            mean_predicted=p_total / count,
+        ))
         if len(qs) > 1:
-            merged.append(s.label)
+            merged.append(label)
     return CalibrationReport(strata=tuple(strata), merged=tuple(merged))
 
 
@@ -321,6 +309,14 @@ def calibration_to_dict(report: CalibrationReport) -> dict:
         ],
         "merged": list(report.merged),
     }
+
+
+def calibration_from_dict(doc: dict) -> CalibrationReport:
+    """Inverse of `calibration_to_dict`."""
+    return CalibrationReport(
+        strata=tuple(Stratum(**s) for s in doc["strata"]),
+        merged=tuple(doc["merged"]),
+    )
 
 
 # ---------------------------------------------------------------------------

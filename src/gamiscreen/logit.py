@@ -25,9 +25,8 @@ from .errors import (
     SingularMatrixError,
     TooFewRecordsError,
 )
+from .evaluation import Z95
 from .textfeatures import FeatureVector, VariableGrouping
-
-Z95 = 1.96  # conventional 95% Wald multiplier
 
 INTERCEPT_NAME = "constant"
 

@@ -1,17 +1,26 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
+from gamiscreen import evaluation
 from gamiscreen.errors import (
     DegenerateAgreementError,
     IncomparableModelsError,
+    InputError,
     OneClassError,
     TooFewRecordsError,
 )
 from gamiscreen.evaluation import (
+    Z95,
     aic_compare,
+    calibration_from_dict,
     calibration_strata,
     calibration_text,
+    calibration_to_dict,
     cohen_kappa,
     kappa_text,
     roc_auc,
@@ -33,6 +42,78 @@ def pair_counting_auc(scores, labels):
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def _sample_var(v):
+    return v.var(ddof=1) if len(v) > 1 else 0.0
+
+
+def _delong_ci(auc, v10, v01):
+    half = Z95 * math.sqrt(_sample_var(v10) / len(v10) + _sample_var(v01) / len(v01))
+    return max(0.0, auc - half), min(1.0, auc + half)
+
+
+def brute_force_delong_ci(scores, labels):
+    """Oracle: DeLong structural components from every (positive, negative) pair."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    psi = (pos[:, None] > neg[None, :]) + 0.5 * (pos[:, None] == neg[None, :])
+    return _delong_ci(psi.mean(), psi.mean(axis=1), psi.mean(axis=0))
+
+
+def per_record_roc(scores, labels):
+    """Per-record reference: sorted threshold sweep and midrank DeLong variance."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(-scores, kind="mergesort")
+    s, y = scores[order], labels[order]
+    last = np.r_[np.where(np.diff(s))[0], len(s) - 1]  # last index of each tie group
+    tpr = np.r_[0.0, np.cumsum(y)[last] / n_pos]
+    fpr = np.r_[0.0, np.cumsum(1 - y)[last] / n_neg]
+    auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    ranks = rankdata(np.concatenate([pos, neg]))
+    v10 = (ranks[:n_pos] - rankdata(pos)) / n_neg
+    v01 = 1.0 - (ranks[n_pos:] - rankdata(neg)) / n_pos
+    points = tuple(zip(fpr.tolist(), tpr.tolist()))
+    thresholds = (math.inf,) + tuple(s[last].tolist())
+    return points, thresholds, auc, _delong_ci(auc, v10, v01)
+
+
+def per_record_calibration(predicted, labels, n_strata=4, min_positives=5):
+    """Per-record reference: strata as boolean masks over the records."""
+    predicted = np.asarray(predicted, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    edges = np.quantile(predicted, [k / n_strata for k in range(1, n_strata)])
+    bin_of = np.searchsorted(edges, predicted, side="left")
+    groups = []  # (quartile indices, member mask)
+    for q in range(n_strata):
+        mask = bin_of == q
+        if not mask.any():
+            if groups:
+                groups[-1][0].append(q)
+            else:
+                groups.append(([q], mask))
+            continue
+        if groups and groups[-1][1].sum() == 0:
+            prev_q, _ = groups.pop()
+            groups.append((prev_q + [q], mask))
+        else:
+            groups.append(([q], mask))
+    groups = [(qs, m) for qs, m in groups if m.sum() > 0]
+    while len(groups) > 1:
+        counts = [labels[m].sum() for _, m in groups]
+        low = next((i for i, c in enumerate(counts) if c < min_positives), None)
+        if low is None:
+            break
+        a, b = sorted((low, low + 1 if low + 1 < len(groups) else low - 1))
+        groups[a:b + 1] = [(groups[a][0] + groups[b][0], groups[a][1] | groups[b][1])]
+    return [(f"Q{qs[0] + 1}" if len(qs) == 1 else f"Q{qs[0] + 1}-Q{qs[-1] + 1}",
+             int(m.sum()), int(labels[m].sum()), float(labels[m].mean()),
+             float(predicted[m].mean())) for qs, m in groups]
 
 
 class TestRoc:
@@ -62,6 +143,16 @@ class TestRoc:
     def test_one_class(self):
         with pytest.raises(OneClassError):
             roc_auc([0.1, 0.2], [1, 1])
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(InputError, match="NaN"):
+            roc_auc([0.1, float("nan"), 0.3, 0.9], [0, 1, 0, 1])
+
+    def test_auc_cross_check_raises(self, monkeypatch):
+        pair_count = evaluation._pair_count_auc
+        monkeypatch.setattr(evaluation, "_pair_count_auc", lambda *a: pair_count(*a) + 1e-9)
+        with pytest.raises(RuntimeError, match="disagrees"):
+            roc_auc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])
 
     @settings(max_examples=60)
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 1)), min_size=2, max_size=40))
@@ -125,6 +216,40 @@ class TestDeLong:
         # quadrupling n should roughly halve the width
         assert 1.5 < widths[100] / widths[400] < 2.7
         assert 1.5 < widths[400] / widths[1600] < 2.7
+
+    @settings(max_examples=80)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1)), min_size=2, max_size=40))
+    def test_brute_force_oracle_tied(self, data):
+        self._check_oracle(data)
+
+    @settings(max_examples=80)
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.integers(0, 1)),
+                    min_size=2, max_size=40, unique_by=lambda t: t[0]))
+    def test_brute_force_oracle_untied(self, data):
+        self._check_oracle(data)
+
+    def _check_oracle(self, data):
+        scores = [s for s, _ in data]
+        labels = [y for _, y in data]
+        if len(set(labels)) < 2:
+            return
+        roc = roc_auc(scores, labels)
+        low, high = brute_force_delong_ci(scores, labels)
+        assert abs(roc.auc_ci_low - low) < 1e-12
+        assert abs(roc.auc_ci_high - high) < 1e-12
+
+    def test_matches_per_record_reference(self):
+        rng = np.random.default_rng(10)
+        n = 100_000
+        scores = rng.integers(0, 400, n) / 400.0  # heavily tied
+        labels = (rng.random(n) < 0.05 + 0.5 * scores).astype(float)
+        roc = roc_auc(scores, labels)
+        points, thresholds, auc, (low, high) = per_record_roc(scores, labels)
+        assert roc.points == points
+        assert roc.thresholds == thresholds
+        assert abs(roc.auc - auc) < 1e-12
+        assert abs(roc.auc_ci_low - low) < 1e-12
+        assert abs(roc.auc_ci_high - high) < 1e-12
 
     def test_degenerate_zero_variance(self):
         roc = roc_auc([0, 0, 1, 1], [0, 0, 1, 1])
@@ -237,12 +362,47 @@ class TestCalibration:
         with pytest.raises(TooFewRecordsError):
             calibration_strata([0.1, 0.2], [0, 1])
 
+    def test_invalid_input_rejected(self):
+        with pytest.raises(InputError, match="NaN"):
+            calibration_strata([0.1, float("nan"), 0.3, 0.4], [0, 1, 0, 1])
+        with pytest.raises(InputError, match="binary"):
+            calibration_strata([0.1, 0.2, 0.3, 0.4], [0, 2, 0, 1])
+
     def test_text_rendering(self):
         report = calibration_strata(np.linspace(0, 1, 40),
                                     (np.linspace(0, 1, 40) > 0.5).astype(float),
                                     min_positives=1)
         text = calibration_text(report)
         assert "Stratum" in text and "Observed" in text
+
+    @settings(max_examples=80)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=4, max_size=200),
+           st.sampled_from([1, 5]))
+    def test_matches_per_record_reference_tied(self, data, min_positives):
+        self._check_reference(np.array([p for p, _ in data]) / 10.0,
+                              np.array([y for _, y in data], dtype=float), min_positives)
+
+    def test_matches_per_record_reference_large(self):
+        rng = np.random.default_rng(11)
+        predicted = rng.integers(1, 3000, 200_000) / 3000.0
+        self._check_reference(predicted, (rng.random(200_000) < predicted).astype(float), 5)
+
+    def _check_reference(self, predicted, labels, min_positives):
+        report = calibration_strata(predicted, labels, min_positives=min_positives)
+        reference = per_record_calibration(predicted, labels, min_positives=min_positives)
+        assert [(s.label, s.n_obs, s.n_pos, s.observed_rate) for s in report.strata] == [
+            r[:4] for r in reference]
+        assert report.merged == tuple(r[0] for r in reference if "-" in r[0])
+        for s, r in zip(report.strata, reference):
+            assert abs(s.mean_predicted - r[4]) < 1e-12
+
+    def test_dict_round_trip(self):
+        predicted = np.array([0.048] * 204 + [0.096] * 62 + [0.620] * 87)
+        labels = np.array([1] * 9 + [0] * 195 + [1] * 9 + [0] * 53 + [1] * 53 + [0] * 34,
+                          dtype=float)
+        report = calibration_strata(predicted, labels)
+        doc = json.loads(json.dumps(calibration_to_dict(report)))
+        assert calibration_from_dict(doc) == report
 
 
 class TestKappa:
