@@ -27,7 +27,6 @@ from .evaluation import (
     roc_auc,
 )
 from .logit import (
-    FitConfig,
     FittedModel,
     UnivariateResult,
     fit_logistic,

@@ -1,8 +1,8 @@
 """Binary logistic regression by Newton-Raphson maximum likelihood.
 
-Covers univariate screening, multivariate fitting with Wald inference,
-prediction, JSON (de)serialization of fitted models, and the bundled
-pre-trained screening model.
+Covers the closed-form univariate screen, multivariate fitting with Wald
+inference, prediction, JSON (de)serialization of fitted models, and the
+bundled pre-trained screening model.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ from .textfeatures import FeatureVector, VariableGrouping
 INTERCEPT_NAME = "constant"
 
 
-@dataclass
-class FitConfig:
-    tol: float = 1e-8          # max |gradient component| at convergence
-    max_iter: int = 50
-    beta_limit: float = 15.0   # |beta| beyond this signals separation
-    max_halvings: int = 30
+MAX_ITER = 50
+BETA_LIMIT = 15.0   # |beta| beyond this signals separation
+STEP_TOL = 1e-10    # largest Newton-step component at convergence
+LL_RTOL = 1e-12     # relative likelihood decrease step-halving treats as rounding
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,6 @@ class FittedModel:
     log_likelihood: float | None = None
     aic: float | None = None
     n_obs: int | None = None
-    converged: bool = True
     iterations: int = 0
     training: dict = field(default_factory=dict)
 
@@ -118,8 +115,13 @@ def _check_design(X, y, names):
     return X, y, names
 
 
-def fit_logistic(X, y, names=None, config: FitConfig | None = None) -> FittedModel:
+def fit_logistic(X, y, names=None) -> FittedModel:
     """Maximize the Bernoulli likelihood by Newton-Raphson with step-halving.
+
+    Iteration stops after applying a Newton step ``I⁻¹g`` whose largest
+    component is below ``STEP_TOL``. Unlike the gradient, which is a sum
+    over rows, that step does not grow with n: replicating the data leaves
+    it unchanged.
 
     Parameters
     ----------
@@ -132,12 +134,11 @@ def fit_logistic(X, y, names=None, config: FitConfig | None = None) -> FittedMod
     DegenerateColumnError
         for a constant-zero or constant-one feature column.
     SeparationError
-        when any |beta| exceeds ``config.beta_limit`` during iteration or
-        the gradient fails to converge within ``config.max_iter`` steps.
+        when any |beta| exceeds ``BETA_LIMIT`` during iteration or the
+        Newton step is still large after ``MAX_ITER`` iterations.
     SingularMatrixError
         when the observed information matrix cannot be inverted.
     """
-    config = config or FitConfig()
     X, y, names = _check_design(X, y, names)
     n, p = X.shape
 
@@ -151,63 +152,50 @@ def fit_logistic(X, y, names=None, config: FitConfig | None = None) -> FittedMod
 
     beta = np.zeros(p + 1)
     ll = log_likelihood(beta, Xd, y)
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iter + 1):
-        g = gradient(beta, Xd, y)
-        if np.abs(g).max() < config.tol:
-            converged = True
-            iterations -= 1
-            break
-        info = -hessian(beta, Xd, y)
-        try:
-            step = np.linalg.solve(info, g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError() from exc
-        if not np.isfinite(step).all():
-            raise SingularMatrixError()
+    for iterations in range(1, MAX_ITER + 1):
+        step = _solve(-hessian(beta, Xd, y), gradient(beta, Xd, y))
 
-        # Step-halving: never accept a likelihood decrease.
+        # Step-halving: accept no decrease beyond the rounding error of the
+        # n-term likelihood sum. Terminates: as the scale shrinks the
+        # candidate's likelihood tends to ll.
         scale = 1.0
-        for _ in range(config.max_halvings):
-            candidate = beta + scale * step
-            cand_ll = log_likelihood(candidate, Xd, y)
-            if cand_ll >= ll - 1e-12:
-                break
+        cand_ll = log_likelihood(beta + step, Xd, y)
+        while cand_ll < ll - LL_RTOL * abs(ll):
             scale *= 0.5
-        beta = beta + scale * step
-        ll = cand_ll
+            cand_ll = log_likelihood(beta + scale * step, Xd, y)
+        beta, ll = beta + scale * step, cand_ll
 
-        if np.abs(beta).max() > config.beta_limit:
-            runaway = tuple(all_names[j] for j in range(p + 1) if abs(beta[j]) > config.beta_limit)
-            raise SeparationError(runaway, detail=f"|beta| > {config.beta_limit} at iteration {iterations}")
-    if not converged:
-        g = gradient(beta, Xd, y)
-        if np.abs(g).max() < config.tol:
-            converged = True
-        else:
-            worst = tuple(np.asarray(all_names)[np.argsort(-np.abs(beta))][:3])
-            raise SeparationError(worst, detail=f"no convergence in {config.max_iter} iterations")
+        if np.abs(beta).max() > BETA_LIMIT:
+            runaway = tuple(all_names[j] for j in range(p + 1) if abs(beta[j]) > BETA_LIMIT)
+            raise SeparationError(runaway, detail=f"|beta| > {BETA_LIMIT} at iteration {iterations}")
+        if np.abs(step).max() < STEP_TOL:
+            break
+    else:
+        worst = tuple(np.asarray(all_names)[np.argsort(-np.abs(beta))][:3])
+        raise SeparationError(worst, detail=f"no convergence in {MAX_ITER} iterations")
 
-    info = -hessian(beta, Xd, y)
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError() from exc
-    se = np.sqrt(np.diag(cov))
-    ll = log_likelihood(beta, Xd, y)
+    cov = _solve(-hessian(beta, Xd, y), np.eye(p + 1))
     k = p + 1
     return FittedModel(
         variable_names=all_names,
         coefficients=beta,
-        standard_errors=se,
+        standard_errors=np.sqrt(np.diag(cov)),
         covariance=cov,
         log_likelihood=ll,
         aic=2.0 * k - 2.0 * ll,
         n_obs=n,
-        converged=True,
         iterations=iterations,
     )
+
+
+def _solve(info, rhs) -> np.ndarray:
+    try:
+        out = np.linalg.solve(info, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError() from exc
+    if not np.isfinite(out).all():
+        raise SingularMatrixError()
+    return out
 
 
 @dataclass(frozen=True)
@@ -220,30 +208,40 @@ class UnivariateResult:
     error: str | None = None
 
 
-def univariate_screen(X, y, names=None, config: FitConfig | None = None) -> list[UnivariateResult]:
-    """One single-predictor (plus intercept) fit per feature column.
+def univariate_screen(X, y, names=None) -> list[UnivariateResult]:
+    """Single-predictor (plus intercept) logistic fit per feature column.
 
-    Per-variable separation or degeneracy is recorded in the result
-    instead of aborting the screen.
+    For one binary predictor the MLE is closed-form: with the 2x2 counts
+    a (x=1, y=1), b (x=1, y=0), c (x=0, y=1) and d (x=0, y=0), the slope
+    is log(ad/bc) with Wald SE sqrt(1/a + 1/b + 1/c + 1/d) (Agresti,
+    *Categorical Data Analysis*, §2.4). A constant column or an empty
+    cell (no finite MLE) is recorded in ``error`` instead of aborting the
+    screen.
     """
     X, y, names = _check_design(X, y, names)
+    a = y @ X
+    b = X.sum(axis=0) - a
+    c = y.sum() - a
+    d = len(y) - a - b - c
     results = []
-    for j, name in enumerate(names):
-        try:
-            m = fit_logistic(X[:, [j]], y, names=(name,), config=config)
-        except (SeparationError, DegenerateColumnError, SingularMatrixError) as exc:
-            results.append(UnivariateResult(name, None, None, None, None, error=str(exc)))
-            continue
-        lo, hi = m.conf_int()[1]
-        results.append(
-            UnivariateResult(
+    for name, a_j, b_j, c_j, d_j in zip(names, a, b, c, d):
+        if a_j + b_j == 0 or c_j + d_j == 0:
+            error = str(DegenerateColumnError(name))
+            results.append(UnivariateResult(name, None, None, None, None, error=error))
+        elif min(a_j, b_j, c_j, d_j) == 0:
+            error = str(SeparationError((name,), detail="empty cell in its 2x2 table"))
+            results.append(UnivariateResult(name, None, None, None, None, error=error))
+        else:
+            odds_ratio = float(a_j * d_j / (b_j * c_j))
+            log_or = math.log(odds_ratio)
+            se = math.sqrt(1 / a_j + 1 / b_j + 1 / c_j + 1 / d_j)
+            results.append(UnivariateResult(
                 variable_name=name,
-                odds_ratio=float(m.odds_ratios()[1]),
-                ci_low=float(math.exp(lo)),
-                ci_high=float(math.exp(hi)),
-                p_value=float(m.p_values()[1]),
-            )
-        )
+                odds_ratio=odds_ratio,
+                ci_low=math.exp(log_or - Z95 * se),
+                ci_high=math.exp(log_or + Z95 * se),
+                p_value=float(2.0 * norm.sf(abs(log_or) / se)),
+            ))
     return results
 
 
@@ -330,7 +328,6 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, VariableGrouping | None]:
         log_likelihood=training.get("log_likelihood"),
         aic=training.get("aic"),
         n_obs=training.get("n_obs"),
-        converged=True,
         iterations=0,
         training=dict(training),
     )

@@ -11,11 +11,12 @@ import contextlib
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from random import Random
 
 import numpy as np
+from scipy.special import expit
 
 from . import logit
 from .errors import (
@@ -27,7 +28,7 @@ from .errors import (
     UnknownStoreError,
 )
 from .evaluation import CalibrationReport, calibration_strata, calibration_to_dict, roc_auc
-from .logit import FitConfig, FittedModel, fit_logistic, predict, univariate_screen
+from .logit import FittedModel, fit_logistic, predict, univariate_screen
 from .textfeatures import (
     APP_TYPES,
     STORES,
@@ -133,7 +134,6 @@ def ingest(path, fmt: str | None = None, timestamp: bool = True) -> Dataset:
         raise ParseError(None, f"not valid UTF-8: {exc}") from exc
 
     records: list[AppRecord] = []
-    seen: set[str] = set()
     if fmt == "csv":
         reader = csv.DictReader(io.StringIO(text))
         header = reader.fieldnames or []
@@ -157,11 +157,7 @@ def ingest(path, fmt: str | None = None, timestamp: bool = True) -> Dataset:
     for row, rownum in rows:
         if not isinstance(row, dict):
             raise ParseError(rownum, "record is not an object")
-        rec = _parse_record(row, rownum)
-        if rec.id in seen:
-            raise DuplicateIdError(rec.id)
-        seen.add(rec.id)
-        records.append(rec)
+        records.append(_parse_record(row, rownum))
 
     ingested_at = datetime.now(timezone.utc).isoformat(timespec="seconds") if timestamp else None
     return Dataset(records=records, source=path, ingested_at=ingested_at)
@@ -242,7 +238,6 @@ class StudyConfig:
     selection: str = "forced"             # "forced": all variables; "strict": univariate p < alpha
     alpha: float = 0.05
     force_include: tuple[str, ...] = ()   # always kept, even in strict mode
-    fit: FitConfig = field(default_factory=FitConfig)
     calibration_min_positives: int = 5
 
     def to_dict(self) -> dict:
@@ -250,8 +245,6 @@ class StudyConfig:
             "selection": self.selection,
             "alpha": self.alpha,
             "force_include": list(self.force_include),
-            "fit": {"tol": self.fit.tol, "max_iter": self.fit.max_iter,
-                    "beta_limit": self.fit.beta_limit},
             "calibration_min_positives": self.calibration_min_positives,
         }
 
@@ -349,9 +342,10 @@ def run_study(dataset: Dataset, lexicon: Lexicon | None = None,
         return X, y
 
     X_gen, y_gen = design(plan.generation_ids)
+    X_val, y_val = design(plan.validation_ids)
 
     with _stage("univariate screen"):
-        uni = univariate_screen(X_gen, y_gen, names=names, config=config.fit)
+        uni = univariate_screen(X_gen, y_gen, names=names)
 
     if config.selection == "forced":
         selected = tuple(names)
@@ -368,19 +362,13 @@ def run_study(dataset: Dataset, lexicon: Lexicon | None = None,
 
     sel_idx = [names.index(n) for n in selected]
     with _stage("multivariate fit"):
-        model = fit_logistic(X_gen[:, sel_idx], y_gen, names=selected, config=config.fit)
+        model = fit_logistic(X_gen[:, sel_idx], y_gen, names=selected)
 
-    def probabilities(ids):
-        return np.array([
-            predict(model, tuple(features[i].bits[j] for j in sel_idx)) for i in ids
-        ])
-
-    p_gen = probabilities(plan.generation_ids)
-    p_val = probabilities(plan.validation_ids)
+    p_gen = expit(model.intercept + X_gen[:, sel_idx] @ model.coefficients[1:])
+    p_val = expit(model.intercept + X_val[:, sel_idx] @ model.coefficients[1:])
 
     with _stage("generation ROC"):
         roc_gen = roc_auc(p_gen, y_gen)
-    X_val, y_val = design(plan.validation_ids)
     with _stage("validation ROC"):
         roc_val = roc_auc(p_val, y_val)
     with _stage("calibration"):

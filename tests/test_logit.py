@@ -4,6 +4,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from gamiscreen.errors import (
     ArityMismatchError,
@@ -23,6 +24,9 @@ from gamiscreen.logit import (
     pretrained_model,
     univariate_screen,
 )
+from gamiscreen.textfeatures import extract_features
+
+from conftest import synthetic_corpus
 
 
 def table_2x2(a, b, c, d):
@@ -30,6 +34,15 @@ def table_2x2(a, b, c, d):
     x = np.r_[np.ones(a + b), np.zeros(c + d)]
     y = np.r_[np.ones(a), np.zeros(b), np.ones(c), np.zeros(d)]
     return x[:, None], y
+
+
+def model_design(n, seed, prevalence=0.12):
+    """Feature bits at `prevalence`, labels drawn from the bundled model."""
+    rng = np.random.default_rng(seed)
+    model = pretrained_model()
+    X = (rng.random((n, len(model.feature_names))) < prevalence).astype(float)
+    y = (rng.random(n) < expit(model.intercept + X @ model.coefficients[1:])).astype(float)
+    return X, y
 
 
 class TestFit:
@@ -114,6 +127,30 @@ class TestFit:
         assert np.all(np.abs(m.coefficients - truth) < 3 * m.standard_errors)
 
 
+class TestScaleInvariance:
+    """The stop test must not depend on n: only the SEs may change with it."""
+
+    @pytest.mark.parametrize("k", [10, 100])
+    def test_replication_keeps_beta_and_scales_se(self, k):
+        X, y = model_design(3000, seed=2)
+        base = fit_logistic(X, y)
+        rep = fit_logistic(np.tile(X, (k, 1)), np.tile(y, k))
+        np.testing.assert_allclose(rep.coefficients, base.coefficients, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep.standard_errors * math.sqrt(k), base.standard_errors,
+                                   rtol=0, atol=1e-12)
+
+    def test_million_row_single_predictor_converges(self):
+        X, y = model_design(1_000_000, seed=1)
+        x = X[:, 1]
+        m = fit_logistic(x[:, None], y, names=("f",))
+        a = y @ x
+        b = x.sum() - a
+        c = y.sum() - a
+        d = len(y) - a - b - c
+        assert m.coefficients[1] == pytest.approx(math.log(a * d / (b * c)), abs=1e-9)
+        assert m.iterations < 10
+
+
 class TestFiniteDifferences:
     def test_gradient_and_hessian(self):
         rng = np.random.default_rng(10)
@@ -140,14 +177,42 @@ class TestUnivariateScreen:
         assert res[0].ci_low <= res[0].odds_ratio <= res[0].ci_high
         assert 0 <= res[0].p_value <= 1
 
+        # The screen is closed-form; each row must equal the Newton fit on that column.
+        for cells in [(30, 70, 10, 90), (1, 1, 1, 1), (5, 400, 3, 900), (250, 40, 60, 300),
+                      (12, 12, 40, 41), (700, 2, 500, 9)]:
+            X, y = table_2x2(*cells)
+            u = univariate_screen(X, y, names=("f",))[0]
+            m = fit_logistic(X, y, names=("f",))
+            lo, hi = np.exp(m.conf_int()[1])
+            assert u.error is None
+            assert u.odds_ratio == pytest.approx(m.odds_ratios()[1], rel=0, abs=1e-9)
+            assert u.ci_low == pytest.approx(lo, rel=0, abs=1e-9)
+            assert u.ci_high == pytest.approx(hi, rel=0, abs=1e-9)
+            assert u.p_value == pytest.approx(m.p_values()[1], rel=0, abs=1e-9)
+
     def test_perfect_predictor_recorded_not_raised(self):
         rng = np.random.default_rng(11)
         x = (rng.random(80) < 0.5).astype(float)
         good = (rng.random(80) < 0.5).astype(float)
-        res = univariate_screen(np.column_stack([x, good]), x.copy(), names=("mirror", "noise"))
+        zero_cell = x * good  # never 1 where the label is 0
+        constant = np.ones(80)
+        res = univariate_screen(np.column_stack([x, good, zero_cell, constant]), x.copy(),
+                                names=("mirror", "noise", "zero cell", "constant"))
         assert res[0].error is not None
         assert res[0].odds_ratio is None
         assert res[1].error is None
+        assert "zero cell" in res[2].error and "separation" in res[2].error
+        assert res[2].odds_ratio is res[2].p_value is None
+        assert res[3].error == str(DegenerateColumnError("constant"))
+        assert res[3].odds_ratio is res[3].p_value is None
+
+    def test_large_well_posed_screen_has_no_errors(self, pretrained, lexicon, grouping):
+        corpus = synthetic_corpus(pretrained, grouping, n=100_000, seed=12)
+        X = np.array([extract_features(r, lexicon, grouping).bits for r in corpus.records],
+                     dtype=float)
+        y = np.array([r.gamification_label for r in corpus.records], dtype=float)
+        res = univariate_screen(X, y, names=grouping.names)
+        assert [u.error for u in res] == [None] * len(grouping.names)
 
     def test_null_variable_ci_covers_one(self):
         # ~95% coverage for an independent feature across Monte Carlo draws

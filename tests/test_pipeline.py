@@ -240,6 +240,12 @@ class TestRunStudy:
             sub = [r for r in recs if r["group"] == group]
             roc = g.roc_auc([r["probability"] for r in sub], [r["label"] for r in sub])
             assert roc.auc == doc["roc"][group]["auc"]
+        # per-record reference for the vectorized study probabilities
+        lexicon, grouping = g.default_lexicon(), g.default_grouping()
+        bits = {r.id: g.extract_features(r, lexicon, grouping).bits for r in small_corpus.records}
+        for r in recs:
+            want = g.predict(report.model, bits[r["id"]])
+            assert r["probability"] == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_determinism(self, small_corpus):
         a = run_study(small_corpus, seed=9).to_json()
