@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import logit, pipeline
-from .errors import InputError, StatisticalError
+from .errors import InputError, ParseError, StatisticalError
 from .evaluation import (
     calibration_from_dict,
     calibration_strata,
@@ -136,7 +136,12 @@ def _read_score_records(args):
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(i, f"invalid JSON: {exc}") from exc
+            if not isinstance(doc, dict):
+                raise ParseError(i, "record is not an object")
             doc.setdefault("id", f"stdin-{i}")
             doc.setdefault("store", "other")
             doc.setdefault("title", "")

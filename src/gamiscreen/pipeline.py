@@ -422,26 +422,30 @@ def score_records(model: FittedModel, grouping: VariableGrouping, records) -> li
     """Score app records with a (possibly pre-trained) model.
 
     The grouping normally comes from the model file itself, keeping a
-    model self-contained; output order equals input order.
+    model self-contained; output order equals input order. Probability and
+    contributions are computed once per distinct bit pattern; every result
+    gets its own copy of the contributions dict.
     """
     if grouping.names != model.feature_names:
         raise InputError("grouping variables do not match the model's variables")
     lexicon = Lexicon(keywords=grouping.all_keywords, version="model")
+    per_pattern: dict[tuple[int, ...], tuple[float, dict]] = {}
     out = []
     for record in records:
         fv = extract_features(record, lexicon, grouping)
-        prob = predict(model, fv)
-        contributions = {
-            name: float(model.coefficients[i + 1]) * fv.bits[i] if fv.bits[i] else 0.0
-            for i, name in enumerate(model.feature_names)
-        }
+        if fv.bits not in per_pattern:
+            per_pattern[fv.bits] = (predict(model, fv), {
+                name: float(model.coefficients[i + 1]) * fv.bits[i] if fv.bits[i] else 0.0
+                for i, name in enumerate(model.feature_names)
+            })
+        prob, contributions = per_pattern[fv.bits]
         flags = () if tokenize(record.text) else ("no_text",)
         out.append(ScoreResult(
             id=record.id,
             probability=prob,
             matched_keywords=tuple(sorted(fv.matched_keywords)),
             bits=fv.bits,
-            contributions=contributions,
+            contributions=dict(contributions),
             flags=flags,
         ))
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 from .errors import InputError
@@ -20,6 +20,9 @@ APP_TYPES = ("breast_cancer", "health", "misc")
 
 # Maximal runs of letters/digits; underscore and all punctuation separate.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Every ASCII character that is not a letter or digit becomes a space. On
+# ASCII text `[^\W_]` is exactly `str.isalnum` and `casefold` is `lower`.
+_ASCII_SEP = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalnum()})
 
 
 def tokenize(text: str) -> list[str]:
@@ -27,10 +30,13 @@ def tokenize(text: str) -> list[str]:
 
     Tokens are maximal runs of Unicode letters and digits; everything
     else (punctuation, whitespace, underscores) separates. Deterministic
-    and total: empty or ``None``-ish text yields an empty list.
+    and total: empty or ``None``-ish text yields an empty list. ASCII text
+    takes a translate-and-split path with the same result as the regex.
     """
     if not text:
         return []
+    if text.isascii():
+        return text.lower().translate(_ASCII_SEP).split()
     return [t.casefold() for t in _TOKEN_RE.findall(text)]
 
 
@@ -115,6 +121,11 @@ class VariableGrouping:
                 return members
         raise KeyError(name)
 
+    @cached_property
+    def bit_index(self) -> dict[str, int]:
+        """Member keyword -> position of its variable's bit; built once."""
+        return {k: i for i, (_, members) in enumerate(self.variables) for k in members}
+
     def check_against(self, lexicon: Lexicon) -> None:
         missing = self.all_keywords - lexicon.keywords
         if missing:
@@ -129,15 +140,23 @@ class FeatureVector:
     matched_keywords: frozenset[str] = field(default_factory=frozenset)
 
 
-def match_keywords(record: AppRecord, lexicon: Lexicon) -> set[str]:
+def match_keywords(record: AppRecord, lexicon: Lexicon) -> frozenset[str]:
     """Keywords of `lexicon` appearing as whole tokens in title or description."""
-    return set(tokenize(record.text)) & lexicon.keywords
+    return lexicon.keywords.intersection(tokenize(record.text))
 
 
 def build_features(matched: set[str] | frozenset[str], grouping: VariableGrouping) -> FeatureVector:
-    """Collapse matched keywords to per-variable presence bits."""
-    bits = tuple(int(bool(matched & members)) for _, members in grouping.variables)
-    return FeatureVector(bits=bits, matched_keywords=frozenset(matched))
+    """Collapse matched keywords to per-variable presence bits.
+
+    Keywords outside the grouping set no bit but stay in `matched_keywords`.
+    """
+    bits = [0] * len(grouping.variables)
+    index = grouping.bit_index
+    for keyword in matched:
+        i = index.get(keyword)
+        if i is not None:
+            bits[i] = 1
+    return FeatureVector(bits=tuple(bits), matched_keywords=frozenset(matched))
 
 
 def extract_features(record: AppRecord, lexicon: Lexicon, grouping: VariableGrouping) -> FeatureVector:

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -105,3 +107,21 @@ def test_statistical_error_exit_code(tmp_path, capsys):
 
 def test_io_error_exit_code(tmp_path, capsys):
     assert main(["report", "--study", str(tmp_path / "missing.json")]) == 4
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "7", '"text"', "{bad json", '{"id": "a"'])
+def test_score_stdin_bad_line_is_input_error(monkeypatch, capsys, line):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"description": "quiz"}\n' + line + "\n"))
+    assert main(["score"]) == 2
+    captured = capsys.readouterr()
+    assert "row 2" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_python_m_gamiscreen(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"description": "Track your diary quiz"}\n'))
+    monkeypatch.setattr(sys, "argv", ["gamiscreen", "score"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("gamiscreen", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert json.loads(capsys.readouterr().out)["probability"] > 0.99

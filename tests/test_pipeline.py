@@ -13,6 +13,7 @@ from gamiscreen.errors import (
     TooFewRecordsError,
     UnknownStoreError,
 )
+from gamiscreen.logit import predict
 from gamiscreen.pipeline import (
     Dataset,
     StudyConfig,
@@ -289,3 +290,25 @@ class TestScore:
         rec = AppRecord(id="m", store="ios", title="", description="multiplayer team game")
         r = score_records(pretrained, grouping, [rec])[0]
         assert r.probability == pytest.approx(0.477, abs=1e-3)
+
+    def test_per_pattern_table_matches_per_record(self, pretrained, small_corpus,
+                                                   monkeypatch):
+        calls = []
+        monkeypatch.setattr("gamiscreen.pipeline.predict",
+                            lambda model, fv: calls.append(fv.bits) or predict(model, fv))
+        grouping = g.pretrained_grouping()
+        results = score_records(pretrained, grouping, small_corpus.records)
+        # one predict per distinct pattern, and the corpus repeats patterns
+        assert sorted(calls) == sorted({r.bits for r in results})
+        assert len(calls) < len(results) / 2
+        for r in results:
+            assert r.probability == predict(pretrained, r.bits)
+            assert r.contributions == {
+                name: float(pretrained.coefficients[i + 1]) * r.bits[i] if r.bits[i] else 0.0
+                for i, name in enumerate(pretrained.feature_names)
+            }
+        before = [dict(r.contributions) for r in results]
+        results[0].contributions["Diary"] = 99.0
+        results[0].contributions.clear()
+        assert [r.contributions for r in results[1:]] == before[1:]
+        assert len({id(r.contributions) for r in results}) == len(results)

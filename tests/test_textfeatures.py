@@ -1,13 +1,19 @@
+import io
+import json
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gamiscreen.errors import InputError
 from gamiscreen.textfeatures import (
     AppRecord,
     Lexicon,
     VariableGrouping,
+    _TOKEN_RE,
     build_features,
+    default_lexicon,
     extract_features,
+    load_lexicon_file,
     match_keywords,
     tokenize,
 )
@@ -179,3 +185,69 @@ class TestProperties:
         fv = build_features(chosen, grouping)
         for i, (name, members) in enumerate(grouping.variables):
             assert fv.bits[i] == int(bool(chosen & members))
+
+
+def regex_tokens(text):
+    return [t.casefold() for t in _TOKEN_RE.findall(text)]
+
+
+ascii_text = st.text(alphabet=st.one_of(
+    st.characters(max_codepoint=127),
+    st.sampled_from("_0123456789\t\n\r\x0b\x0c\x00\x1c\x1f\x7f")), max_size=200)
+unicode_text = st.text(alphabet=st.one_of(
+    st.characters(exclude_categories=("Cs",)),
+    # dotted capital I, sharp s, combining acute and diaeresis, fi ligature,
+    # and Unicode whitespace: no-break, em and ideographic spaces, line separator
+    st.sampled_from("\u0130\u00df\u0301\u0308\ufb01\u00a0\u2003\u3000\u2028")), max_size=200)
+
+
+class TestTokenizeMatchesRegex:
+    """The ASCII translate-and-split path gives the regex result."""
+
+    @given(ascii_text)
+    @example("game_on\tLEVEL2\x1fquiz\x7f__9")
+    def test_ascii(self, text):
+        assert text.isascii()
+        assert tokenize(text) == regex_tokens(text)
+
+    @given(unicode_text)
+    @example("\u0130stanbul Stra\u00dfe cafe\u0301\u3000QUIZ\u00a0game")
+    def test_unicode(self, text):
+        assert tokenize(text) == regex_tokens(text)
+
+
+# Two groupings share keywords but put them on different bits: a bit index
+# cached across groupings would set the wrong bits for one of them.
+CUSTOM_LEXICON = {
+    "version": "test",
+    "keywords": ["quiz", "diary", "game", "games", "track", "story", "walk"],
+    "variables": [
+        {"name": "Walking", "keywords": ["walk"]},
+        {"name": "Play", "keywords": ["game", "games", "quiz"]},
+        {"name": "Writing", "keywords": ["story", "diary"]},
+    ],
+}
+
+
+def intersection_bits(matched, grouping):
+    """The reference: one set intersection per variable."""
+    return tuple(int(bool(matched & members)) for _, members in grouping.variables)
+
+
+class TestBitIndexMatchesIntersections:
+    @given(st.sets(st.sampled_from(sorted(default_lexicon().keywords) + [
+        "walk", "zyxxyq", "blorp9", "gamer", "diaries"])))
+    def test_default_and_custom_groupings(self, chosen):
+        import gamiscreen as g
+        _, custom = load_lexicon_file(io.StringIO(json.dumps(CUSTOM_LEXICON)))
+        for grouping in (g.default_grouping(), custom, g.default_grouping()):
+            fv = build_features(chosen, grouping)
+            assert fv.bits == intersection_bits(chosen, grouping)
+            assert fv.matched_keywords == frozenset(chosen)
+
+    def test_index_is_per_grouping(self, grouping):
+        _, custom = load_lexicon_file(io.StringIO(json.dumps(CUSTOM_LEXICON)))
+        assert custom.bit_index == {"walk": 0, "game": 1, "games": 1, "quiz": 1,
+                                    "story": 2, "diary": 2}
+        assert grouping.bit_index["quiz"] == grouping.names.index("Quizzes")
+        assert set(grouping.bit_index) == grouping.all_keywords
