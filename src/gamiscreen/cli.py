@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import logit, pipeline
-from .errors import InputError, ParseError, StatisticalError
+from .errors import InputError, StatisticalError, require_fields
 from .evaluation import (
     calibration_from_dict,
     calibration_strata,
@@ -103,10 +103,18 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
-    model, grouping = logit.load_model(args.model)
+def _scoring_model(path):
+    """The model and grouping in the file at `path`; the bundled pair when `path` is None."""
+    if path is None:
+        return logit.pretrained_model(), logit.pretrained_grouping()
+    model, grouping = logit.load_model(path)
     if grouping is None:
         raise InputError("model file carries no keywords; cannot score raw text")
+    return model, grouping
+
+
+def _cmd_evaluate(args) -> int:
+    model, grouping = _scoring_model(args.model)
     ds = load_dataset(args.dataset)
     labeled = ds.labeled()
     if args.split in ("validation", "generation"):
@@ -129,43 +137,19 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _read_score_records(args):
-    if args.input == "-":
-        records = []
-        for i, line in enumerate(sys.stdin, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(i, f"invalid JSON: {exc}") from exc
-            if not isinstance(doc, dict):
-                raise ParseError(i, "record is not an object")
-            doc.setdefault("id", f"stdin-{i}")
-            doc.setdefault("store", "other")
-            doc.setdefault("title", "")
-            doc.setdefault("description", "")
-            records.append(pipeline._parse_record(doc, i))
-        return records
-    return ingest(args.input, fmt=args.format).records
-
-
 def _cmd_score(args) -> int:
-    if args.model:
-        model, grouping = logit.load_model(args.model)
-        if grouping is None:
-            raise InputError("model file carries no keywords; cannot score raw text")
-    else:
-        model, grouping = logit.pretrained_model(), logit.pretrained_grouping()
-    for result in score_records(model, grouping, _read_score_records(args)):
+    model, grouping = _scoring_model(args.model)
+    for result in score_records(model, grouping, ingest(args.input, fmt=args.format).records):
         print(json.dumps(result.to_dict(explain=args.explain)))
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     with open(args.study, encoding="utf-8") as fh:
-        study = json.load(fh)
+        study = require_fields(json.load(fh), "study report", records=list, dataset=dict,
+                               roc=dict, calibration=dict)
+    for r in study["records"]:
+        require_fields(r, "study record", group=str, label=int, probability=(int, float))
     wanted = args.roc_split
     recs = [r for r in study["records"] if r["group"] == wanted]
     if (args.roc_svg or args.roc_csv) and recs:

@@ -30,6 +30,21 @@ class StatisticalError(GamiscreenError):
         return base
 
 
+def require_fields(doc, what: str, **fields: type | tuple[type, ...]) -> dict:
+    """Return `doc` if it is a JSON object whose named fields have the given types.
+
+    Anything else (a missing field, a wrong type, a non-object) raises
+    ``InputError`` naming `what`, so a malformed file exits 2, not with a
+    traceback.
+    """
+    if not isinstance(doc, dict):
+        raise InputError(f"{what} is not a JSON object")
+    for name, kind in fields.items():
+        if not isinstance(doc.get(name), kind):
+            raise InputError(f"{what} lacks a valid {name!r}")
+    return doc
+
+
 class ParseError(InputError):
     def __init__(self, row: int | None, reason: str):
         self.row = row

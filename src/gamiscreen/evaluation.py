@@ -13,7 +13,7 @@ merged on per-quartile counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -297,16 +297,7 @@ def calibration_text(report: CalibrationReport) -> str:
 
 def calibration_to_dict(report: CalibrationReport) -> dict:
     return {
-        "strata": [
-            {
-                "label": s.label,
-                "n_obs": s.n_obs,
-                "n_pos": s.n_pos,
-                "observed_rate": s.observed_rate,
-                "mean_predicted": s.mean_predicted,
-            }
-            for s in report.strata
-        ],
+        "strata": [asdict(s) for s in report.strata],
         "merged": list(report.merged),
     }
 
@@ -378,14 +369,3 @@ def kappa_text(result: KappaResult) -> str:
         f"observed agreement {result.observed_agreement:.3f}\n"
         f"expected agreement {result.expected_agreement:.3f}\n"
     )
-
-
-def kappa_to_dict(result: KappaResult) -> dict:
-    return {
-        "kappa": result.kappa,
-        "standard_error": result.standard_error,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "observed_agreement": result.observed_agreement,
-        "expected_agreement": result.expected_agreement,
-    }

@@ -24,6 +24,7 @@ from .errors import (
     SeparationError,
     SingularMatrixError,
     TooFewRecordsError,
+    require_fields,
 )
 from .evaluation import Z95
 from .textfeatures import FeatureVector, VariableGrouping
@@ -312,14 +313,17 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, VariableGrouping | None]:
     Returns the model plus, when every variable carries keywords, the
     grouping needed to score raw text against it.
     """
-    if doc.get("format_version") != FORMAT_VERSION:
+    if require_fields(doc, "model file").get("format_version") != FORMAT_VERSION:
         raise InputError(f"unsupported model format_version: {doc.get('format_version')!r}")
-    variables = doc["variables"]
+    variables = require_fields(doc, "model file", intercept=(int, float), variables=list)["variables"]
+    for v in variables:
+        require_fields(v, "model variable", name=str, coefficient=(int, float),
+                       standard_error=(int, float))
     names = (INTERCEPT_NAME,) + tuple(v["name"] for v in variables)
     coefficients = np.array([doc["intercept"]] + [v["coefficient"] for v in variables])
     se = np.array([doc.get("intercept_standard_error", float("nan"))]
                   + [v["standard_error"] for v in variables])
-    training = doc.get("training", {}) or {}
+    training = require_fields(doc.get("training") or {}, "model training block")
     model = FittedModel(
         variable_names=names,
         coefficients=coefficients,

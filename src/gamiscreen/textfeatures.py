@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from .errors import InputError
+from .errors import InputError, require_fields
 
 STORES = ("android", "ios", "other")
 APP_TYPES = ("breast_cancer", "health", "misc")
@@ -174,12 +174,14 @@ def load_lexicon_file(path_or_text) -> tuple[Lexicon, VariableGrouping]:
 
 
 def _from_doc(doc: dict) -> tuple[Lexicon, VariableGrouping]:
-    keywords = doc["keywords"]
+    keywords = require_fields(doc, "lexicon file", keywords=list, variables=list)["keywords"]
     if len(keywords) != len(set(keywords)):
         raise InputError("lexicon file contains duplicate keywords")
     lexicon = Lexicon(keywords=frozenset(keywords), version=str(doc.get("version", "custom")))
+    variables = [require_fields(v, "lexicon variable", name=str, keywords=list)
+                 for v in doc["variables"]]
     grouping = VariableGrouping(
-        variables=tuple((v["name"], frozenset(v["keywords"])) for v in doc["variables"])
+        variables=tuple((v["name"], frozenset(v["keywords"])) for v in variables)
     )
     grouping.check_against(lexicon)
     return lexicon, grouping

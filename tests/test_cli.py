@@ -125,3 +125,71 @@ def test_python_m_gamiscreen(monkeypatch, capsys):
         runpy.run_module("gamiscreen", run_name="__main__")
     assert exit_info.value.code == 0
     assert json.loads(capsys.readouterr().out)["probability"] > 0.99
+
+
+@pytest.mark.parametrize("content", [
+    b'{"records": [{"id": "a", "store": "ios", "title": "", "description": ""}, 5]}',
+    b'{"records": [',
+    b'{"records": [{"id": "a", "store": "ios", "title": "\xff", "description": ""}]}',
+], ids=["non-object record", "malformed JSON", "invalid UTF-8"])
+def test_train_bad_dataset_file_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "dataset.json"
+    path.write_bytes(content)
+    assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "m.json")]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_score_stdin_duplicate_id_is_input_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"id": "a"}\n{"id": "a"}\n'))
+    assert main(["score"]) == 2
+    assert "duplicate record id" in capsys.readouterr().err
+
+
+def _explained(capsys):
+    return [{k: d[k] for k in ("id", "probability", "matched_keywords", "flags")}
+            for d in map(json.loads, capsys.readouterr().out.splitlines())]
+
+
+def test_score_stdin_matches_csv(corpus_csv, monkeypatch, capsys):
+    with open(corpus_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    lines = [json.dumps({k: r[k] for k in ("id", "store", "title", "description")})
+             for r in rows]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert main(["score", "--explain"]) == 0
+    from_stdin = _explained(capsys)
+    assert main(["score", "--explain", "--input", str(corpus_csv)]) == 0
+    from_csv = _explained(capsys)
+    assert len(from_csv) == 700
+    assert from_stdin == from_csv
+
+
+def test_train_from_csv_matches_dataset_file(corpus_csv, tmp_path, capsys):
+    ds_path = tmp_path / "dataset.json"
+    assert main(["ingest", str(corpus_csv), "--out", str(ds_path)]) == 0
+    outputs = []
+    for source, tag in ((corpus_csv, "csv"), (ds_path, "json")):
+        model, report = tmp_path / f"model-{tag}.json", tmp_path / f"report-{tag}.json"
+        assert main(["train", "--dataset", str(source), "--seed", "5",
+                     "--out", str(model), "--report", str(report)]) == 0
+        outputs.append((model.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, flag, doc", [
+    ("score", "--model", {"format_version": 1}),
+    ("score", "--model", [1]),
+    ("train", "--lexicon", {"version": 1}),
+    ("report", "--study", {"seed": 1}),
+], ids=["model without variables", "model not an object", "lexicon without keywords",
+        "study without records"])
+def test_malformed_json_file_is_input_error(corpus_csv, tmp_path, monkeypatch, capsys,
+                                            command, flag, doc):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [command, flag, str(path)]
+    if command == "train":
+        argv += ["--dataset", str(corpus_csv), "--out", str(tmp_path / "m.json")]
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"description": "quiz"}\n'))
+    assert main(argv) == 2
+    assert "error" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -116,6 +117,51 @@ class TestIngest:
         ds2 = load_dataset(out)
         assert [r.id for r in ds2.records] == ["a"]
         assert ds2.records[0].gamification_label == 1
+
+    def test_dataset_file_keeps_every_field(self, tmp_path):
+        records = [
+            AppRecord(id="a", store="android", title="Quiz", description="Track fun",
+                      gamification_label=1, app_type="health", language="en"),
+            AppRecord(id="b", store="ios", title="", description="",
+                      gamification_label=0, app_type=None, language=None),
+            AppRecord(id="c", store="other", title="Ünïcode", description="line\nbreak",
+                      gamification_label=None, app_type="breast_cancer", language="de"),
+        ]
+        out = tmp_path / "dataset.json"
+        save_dataset(Dataset(records=records), out)
+        assert load_dataset(out).records == records
+
+    def test_stdin_json_lines(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"description": "quiz"}\n'
+            "\n"
+            '  \n'
+            '{"id": "x", "store": "IOS", "title": "T", "gamification_label": 1}\n'))
+        ds = ingest("-")
+        assert ds.records == [
+            AppRecord(id="stdin-1", store="other", title="", description="quiz"),
+            AppRecord(id="x", store="ios", title="T", description="", gamification_label=1),
+        ]
+        assert ds.source == "-"
+
+    @pytest.mark.parametrize("text, row", [
+        ('{"description": "quiz"}\n\n[1]\n', 3),
+        ('\n{"description": "fun"}\n{bad\n', 3),
+        ('{"id": "a"}\r\n\r\n{"gamification_label": 2}\r\n', 3),
+    ], ids=["not an object", "malformed JSON", "bad label after CRLF"])
+    def test_stdin_errors_name_the_line(self, monkeypatch, text, row):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        with pytest.raises(ParseError) as exc:
+            ingest("-")
+        assert exc.value.row == row
+
+    def test_stdin_invalid_utf8_rejected(self, monkeypatch):
+        # A text stream whose error handler would otherwise let the byte through.
+        raw = io.BytesIO(b'{"description": "quiz \xff"}\n')
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8",
+                                                          errors="surrogateescape"))
+        with pytest.raises(ParseError, match="UTF-8"):
+            ingest("-")
 
     def test_published_marginals_fixture(self):
         # corpus engineered to the published basic characteristics:
