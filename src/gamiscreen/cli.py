@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import logit, pipeline
-from .errors import InputError, StatisticalError, require_fields
+from .errors import InputError, StatisticalError, read_json, require_fields
 from .evaluation import (
     calibration_from_dict,
     calibration_strata,
@@ -83,11 +83,9 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_train(args) -> int:
     ds = load_dataset(args.dataset)
-    lexicon = grouping = None
-    if args.lexicon:
-        lexicon, grouping = load_lexicon_file(args.lexicon)
+    grouping = load_lexicon_file(args.lexicon)[1] if args.lexicon else None
     config = StudyConfig(selection=args.select)
-    report = run_study(ds, lexicon=lexicon, grouping=grouping, seed=args.seed, config=config)
+    report = run_study(ds, grouping=grouping, seed=args.seed, config=config)
     logit.save_model(report.model, args.out, keyword_map=report.keyword_map,
                      training={"seed": args.seed, "generator": pipeline.SPLIT_GENERATOR})
     if args.report:
@@ -145,9 +143,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.study, encoding="utf-8") as fh:
-        study = require_fields(json.load(fh), "study report", records=list, dataset=dict,
-                               roc=dict, calibration=dict)
+    study = require_fields(read_json(args.study, "study report"), "study report", records=list,
+                           dataset=dict, roc=dict, calibration=dict)
     for r in study["records"]:
         require_fields(r, "study record", group=str, label=int, probability=(int, float))
     wanted = args.roc_split
@@ -192,7 +189,7 @@ def main(argv=None) -> int:
     except StatisticalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATS
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -5,6 +5,8 @@ records, mismatched shapes; CLI exit code 2) and ``StatisticalError``
 (fitting or evaluation cannot proceed on this data; CLI exit code 3).
 """
 
+import json
+
 
 class GamiscreenError(Exception):
     """Base class for everything raised by this package."""
@@ -30,19 +32,32 @@ class StatisticalError(GamiscreenError):
         return base
 
 
-def require_fields(doc, what: str, **fields: type | tuple[type, ...]) -> dict:
+def require_fields(doc, what: str, **fields) -> dict:
     """Return `doc` if it is a JSON object whose named fields have the given types.
 
-    Anything else (a missing field, a wrong type, a non-object) raises
-    ``InputError`` naming `what`, so a malformed file exits 2, not with a
-    traceback.
+    A type is a class, a tuple of classes or ``list[str]``. Anything else (a
+    missing field, a wrong type, a non-object) raises ``InputError`` naming
+    `what`, so a malformed file exits 2, not with a traceback.
     """
     if not isinstance(doc, dict):
         raise InputError(f"{what} is not a JSON object")
     for name, kind in fields.items():
-        if not isinstance(doc.get(name), kind):
+        value = doc.get(name)
+        if not (isinstance(value, list) and all(isinstance(k, str) for k in value)
+                if kind == list[str] else isinstance(value, kind)):
             raise InputError(f"{what} lacks a valid {name!r}")
     return doc
+
+
+def read_json(source, what: str):
+    """The JSON in `source`, a path or an open text file; bad JSON or UTF-8 raises ParseError."""
+    try:
+        if hasattr(source, "read"):
+            return json.load(source)
+        with open(source, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(None, f"{what} is not valid JSON: {exc}") from exc
 
 
 class ParseError(InputError):

@@ -24,6 +24,7 @@ from .errors import (
     SeparationError,
     SingularMatrixError,
     TooFewRecordsError,
+    read_json,
     require_fields,
 )
 from .evaluation import Z95
@@ -80,19 +81,19 @@ class FittedModel:
         return 2.0 * norm.sf(np.abs(self.z_values()))
 
 
-def log_likelihood(beta, X, y) -> float:
-    """Bernoulli log-likelihood at `beta`; X includes the intercept column."""
+def log_likelihood(beta, X, y, n=1) -> float:
+    """Log-likelihood at `beta` of y events in n trials (default 1) per row of X, with intercept."""
     eta = X @ beta
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+    return float(y @ eta - (n * np.logaddexp(0.0, eta)).sum())
 
 
-def gradient(beta, X, y) -> np.ndarray:
-    return X.T @ (y - expit(X @ beta))
+def gradient(beta, X, y, n=1) -> np.ndarray:
+    return X.T @ (y - n * expit(X @ beta))
 
 
-def hessian(beta, X, y) -> np.ndarray:
+def hessian(beta, X, y, n=1) -> np.ndarray:
     p = expit(X @ beta)
-    w = p * (1.0 - p)
+    w = n * p * (1.0 - p)
     return -(X * w[:, None]).T @ X
 
 
@@ -148,22 +149,28 @@ def fit_logistic(X, y, names=None) -> FittedModel:
         if col_sums[j] == 0 or col_sums[j] == n:
             raise DegenerateColumnError(names[j])
 
+    # A record enters the likelihood only through its 0/1 row, so the fit runs over
+    # distinct rows and their counts; the intercept makes each row at least 1 byte.
     Xd = np.column_stack([np.ones(n), X])
+    keys = np.ascontiguousarray(Xd, dtype=np.uint8).view(np.dtype((np.void, p + 1))).ravel()
+    _, first, inverse, trials = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    Xd, events = Xd[first], np.bincount(inverse, weights=y)
     all_names = (INTERCEPT_NAME,) + names
 
     beta = np.zeros(p + 1)
-    ll = log_likelihood(beta, Xd, y)
+    ll = log_likelihood(beta, Xd, events, trials)
     for iterations in range(1, MAX_ITER + 1):
-        step = _solve(-hessian(beta, Xd, y), gradient(beta, Xd, y))
+        step = _solve(-hessian(beta, Xd, events, trials), gradient(beta, Xd, events, trials))
 
         # Step-halving: accept no decrease beyond the rounding error of the
-        # n-term likelihood sum. Terminates: as the scale shrinks the
-        # candidate's likelihood tends to ll.
+        # likelihood sum over distinct rows. Terminates: as the scale
+        # shrinks the candidate's likelihood tends to ll.
         scale = 1.0
-        cand_ll = log_likelihood(beta + step, Xd, y)
+        cand_ll = log_likelihood(beta + step, Xd, events, trials)
         while cand_ll < ll - LL_RTOL * abs(ll):
             scale *= 0.5
-            cand_ll = log_likelihood(beta + scale * step, Xd, y)
+            cand_ll = log_likelihood(beta + scale * step, Xd, events, trials)
         beta, ll = beta + scale * step, cand_ll
 
         if np.abs(beta).max() > BETA_LIMIT:
@@ -175,15 +182,14 @@ def fit_logistic(X, y, names=None) -> FittedModel:
         worst = tuple(np.asarray(all_names)[np.argsort(-np.abs(beta))][:3])
         raise SeparationError(worst, detail=f"no convergence in {MAX_ITER} iterations")
 
-    cov = _solve(-hessian(beta, Xd, y), np.eye(p + 1))
-    k = p + 1
+    cov = _solve(-hessian(beta, Xd, events, trials), np.eye(p + 1))
     return FittedModel(
         variable_names=all_names,
         coefficients=beta,
         standard_errors=np.sqrt(np.diag(cov)),
         covariance=cov,
         log_likelihood=ll,
-        aic=2.0 * k - 2.0 * ll,
+        aic=2.0 * (p + 1) - 2.0 * ll,
         n_obs=n,
         iterations=iterations,
     )
@@ -337,9 +343,7 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, VariableGrouping | None]:
     )
     grouping = None
     if all(v.get("keywords") for v in variables):
-        grouping = VariableGrouping(
-            variables=tuple((v["name"], frozenset(v["keywords"])) for v in variables)
-        )
+        grouping = VariableGrouping.from_json(variables, "model variable")
     return model, grouping
 
 
@@ -351,8 +355,7 @@ def save_model(model: FittedModel, path, keyword_map=None, training=None) -> Non
 
 
 def load_model(path) -> tuple[FittedModel, VariableGrouping | None]:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path, "model file"))
 
 
 @lru_cache(maxsize=1)

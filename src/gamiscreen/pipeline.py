@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from random import Random
 
 import numpy as np
@@ -37,7 +38,6 @@ from .textfeatures import (
     Lexicon,
     VariableGrouping,
     default_grouping,
-    default_lexicon,
     extract_features,
     tokenize,
 )
@@ -45,7 +45,6 @@ from .textfeatures import (
 SPLIT_GENERATOR = "python-random-mt19937/fisher-yates"
 
 REQUIRED_COLUMNS = ("id", "store", "title", "description")
-OPTIONAL_COLUMNS = ("gamification_label", "app_type", "language")
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +244,6 @@ def split(dataset: Dataset, seed: int) -> SplitPlan:
 class StudyConfig:
     selection: str = "forced"             # "forced": all variables; "strict": univariate p < alpha
     alpha: float = 0.05
-    force_include: tuple[str, ...] = ()   # always kept, even in strict mode
     calibration_min_positives: int = 5
 
 
@@ -309,7 +307,11 @@ class StudyReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        # Streamed: with an indent, `json.dumps` first lists every chunk (the peak RSS at 100k).
+        buf = io.StringIO()
+        json.dump(self.to_dict(), buf, indent=2)
+        buf.write("\n")
+        return buf.getvalue()
 
 
 @contextlib.contextmanager
@@ -321,28 +323,23 @@ def _stage(name: str):
         raise
 
 
-def run_study(dataset: Dataset, lexicon: Lexicon | None = None,
-              grouping: VariableGrouping | None = None, seed: int = 0,
+def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: int = 0,
               config: StudyConfig | None = None) -> StudyReport:
     """Feature extraction, split, screening, fit, ROC and calibration in one pass."""
-    lexicon = lexicon or default_lexicon()
     grouping = grouping or default_grouping()
     config = config or StudyConfig()
     names = grouping.names
+    lexicon = Lexicon(grouping.all_keywords)  # bits depend on no other keyword
 
     labeled = dataset.labeled()
-    features = {r.id: extract_features(r, lexicon, grouping) for r in labeled}
-    labels = {r.id: r.gamification_label for r in labeled}
+    X = np.array([extract_features(r, lexicon, grouping).bits for r in labeled], dtype=np.uint8)
+    y = np.array([r.gamification_label for r in labeled], dtype=np.uint8)
+    row = {r.id: i for i, r in enumerate(labeled)}
 
     plan = split(dataset, seed)
-
-    def design(ids):
-        X = np.array([features[i].bits for i in ids], dtype=float)
-        y = np.array([labels[i] for i in ids], dtype=float)
-        return X, y
-
-    X_gen, y_gen = design(plan.generation_ids)
-    X_val, y_val = design(plan.validation_ids)
+    gen = np.array([row[i] for i in plan.generation_ids])
+    val = np.array([row[i] for i in plan.validation_ids])
+    X_gen, y_gen = X[gen], y[gen]
 
     with _stage("univariate screen"):
         uni = univariate_screen(X_gen, y_gen, names=names)
@@ -350,10 +347,7 @@ def run_study(dataset: Dataset, lexicon: Lexicon | None = None,
     if config.selection == "forced":
         selected = tuple(names)
     elif config.selection == "strict":
-        keep = set(config.force_include)
-        for u in uni:
-            if u.p_value is not None and u.p_value < config.alpha:
-                keep.add(u.variable_name)
+        keep = {u.variable_name for u in uni if u.p_value is not None and u.p_value < config.alpha}
         selected = tuple(n for n in names if n in keep)
         if not selected:
             raise TooFewRecordsError("strict selection kept no variables")
@@ -364,8 +358,8 @@ def run_study(dataset: Dataset, lexicon: Lexicon | None = None,
     with _stage("multivariate fit"):
         model = fit_logistic(X_gen[:, sel_idx], y_gen, names=selected)
 
-    p_gen = expit(model.intercept + X_gen[:, sel_idx] @ model.coefficients[1:])
-    p_val = expit(model.intercept + X_val[:, sel_idx] @ model.coefficients[1:])
+    p = expit(model.intercept + X[:, sel_idx] @ model.coefficients[1:])
+    p_gen, y_val, p_val = p[gen], y[val], p[val]
 
     with _stage("generation ROC"):
         roc_gen = roc_auc(p_gen, y_gen)
@@ -376,8 +370,8 @@ def run_study(dataset: Dataset, lexicon: Lexicon | None = None,
                                    min_positives=config.calibration_min_positives)
 
     scored = (
-        [(i, "generation", labels[i], float(p)) for i, p in zip(plan.generation_ids, p_gen)]
-        + [(i, "validation", labels[i], float(p)) for i, p in zip(plan.validation_ids, p_val)]
+        list(zip(plan.generation_ids, repeat("generation"), y_gen.tolist(), p_gen.tolist()))
+        + list(zip(plan.validation_ids, repeat("validation"), y_val.tolist(), p_val.tolist()))
     )
     keyword_map = {n: sorted(grouping.members(n)) for n in selected}
 

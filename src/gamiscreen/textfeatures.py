@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from .errors import InputError, require_fields
+from .errors import InputError, read_json, require_fields
 
 STORES = ("android", "ios", "other")
 APP_TYPES = ("breast_cancer", "health", "misc")
@@ -94,6 +94,12 @@ class VariableGrouping:
 
     variables: tuple[tuple[str, frozenset[str]], ...]
 
+    @classmethod
+    def from_json(cls, variables: list, what: str) -> VariableGrouping:
+        """The grouping of JSON objects that each hold a ``name`` and a ``keywords`` list."""
+        checked = [require_fields(v, what, name=str, keywords=list[str]) for v in variables]
+        return cls(variables=tuple((v["name"], frozenset(v["keywords"])) for v in checked))
+
     def __post_init__(self):
         seen: set[str] = set()
         for name, members in self.variables:
@@ -165,24 +171,15 @@ def extract_features(record: AppRecord, lexicon: Lexicon, grouping: VariableGrou
 
 def load_lexicon_file(path_or_text) -> tuple[Lexicon, VariableGrouping]:
     """Parse a lexicon JSON document: {version, keywords, variables}."""
-    if hasattr(path_or_text, "read"):
-        doc = json.load(path_or_text)
-    else:
-        with open(path_or_text, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    return _from_doc(doc)
+    return _from_doc(read_json(path_or_text, "lexicon file"))
 
 
 def _from_doc(doc: dict) -> tuple[Lexicon, VariableGrouping]:
-    keywords = require_fields(doc, "lexicon file", keywords=list, variables=list)["keywords"]
+    keywords = require_fields(doc, "lexicon file", keywords=list[str], variables=list)["keywords"]
     if len(keywords) != len(set(keywords)):
         raise InputError("lexicon file contains duplicate keywords")
     lexicon = Lexicon(keywords=frozenset(keywords), version=str(doc.get("version", "custom")))
-    variables = [require_fields(v, "lexicon variable", name=str, keywords=list)
-                 for v in doc["variables"]]
-    grouping = VariableGrouping(
-        variables=tuple((v["name"], frozenset(v["keywords"])) for v in variables)
-    )
+    grouping = VariableGrouping.from_json(doc["variables"], "lexicon variable")
     grouping.check_against(lexicon)
     return lexicon, grouping
 

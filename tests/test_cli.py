@@ -176,17 +176,39 @@ def test_train_from_csv_matches_dataset_file(corpus_csv, tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("command, flag, doc", [
-    ("score", "--model", {"format_version": 1}),
-    ("score", "--model", [1]),
-    ("train", "--lexicon", {"version": 1}),
-    ("report", "--study", {"seed": 1}),
+def _doc(obj) -> bytes:
+    return json.dumps(obj).encode("utf-8")
+
+
+_MODEL_VARIABLE = {"name": "A", "coefficient": 1.0, "standard_error": 0.5}
+
+
+@pytest.mark.parametrize("command, flag, content", [
+    ("score", "--model", _doc({"format_version": 1})),
+    ("score", "--model", _doc([1])),
+    ("train", "--lexicon", _doc({"version": 1})),
+    ("report", "--study", _doc({"seed": 1})),
+    ("score", "--model", b"{"),
+    ("train", "--lexicon", b"{"),
+    ("report", "--study", b"{"),
+    ("score", "--model", b'{"format_version": 1, "intercept": "\xff"}'),
+    ("train", "--lexicon", _doc({"keywords": [["quiz"]],
+                                 "variables": [{"name": "A", "keywords": ["quiz"]}]})),
+    ("train", "--lexicon", _doc({"keywords": ["quiz"],
+                                 "variables": [{"name": "A", "keywords": [["quiz"]]}]})),
+    ("score", "--model", _doc({"format_version": 1, "intercept": -1.0,
+                               "variables": [{**_MODEL_VARIABLE, "keywords": [["quiz"]]}]})),
+    ("score", "--model", _doc({"format_version": 1, "intercept": -1.0,
+                               "variables": [{**_MODEL_VARIABLE, "keywords": "quiz"}]})),
 ], ids=["model without variables", "model not an object", "lexicon without keywords",
-        "study without records"])
+        "study without records", "model not JSON", "lexicon not JSON", "study not JSON",
+        "model not UTF-8", "lexicon keyword not a string",
+        "lexicon variable keyword not a string", "model variable keyword not a string",
+        "model variable keywords not a list"])
 def test_malformed_json_file_is_input_error(corpus_csv, tmp_path, monkeypatch, capsys,
-                                            command, flag, doc):
+                                            command, flag, content):
     path = tmp_path / "file.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_bytes(content)
     argv = [command, flag, str(path)]
     if command == "train":
         argv += ["--dataset", str(corpus_csv), "--out", str(tmp_path / "m.json")]

@@ -151,6 +151,51 @@ class TestScaleInvariance:
         assert m.iterations < 10
 
 
+@pytest.fixture(scope="module")
+def design_100k(pretrained, lexicon, grouping):
+    """Bits and labels of a 100k synthetic corpus."""
+    corpus = synthetic_corpus(pretrained, grouping, n=100_000, seed=12)
+    X = np.array([extract_features(r, lexicon, grouping).bits for r in corpus.records],
+                 dtype=float)
+    return X, np.array([r.gamification_label for r in corpus.records], dtype=float)
+
+
+class TestCollapsedFit:
+    """The fit runs over distinct rows; the per-record (n = 1) functions are its oracle."""
+
+    def test_counts_equal_per_record_sums(self):
+        rng = np.random.default_rng(14)
+        X = np.column_stack([np.ones(5000), (rng.random((5000, 4)) < 0.3).astype(float)])
+        y = (rng.random(5000) < 0.4).astype(float)
+        beta = rng.normal(scale=0.8, size=5)
+        rows, inverse, n = np.unique(X, axis=0, return_inverse=True, return_counts=True)
+        events = np.bincount(inverse, weights=y)
+        assert len(rows) < 40
+        assert log_likelihood(beta, rows, events, n) == pytest.approx(
+            log_likelihood(beta, X, y), rel=1e-12, abs=0)
+        np.testing.assert_allclose(gradient(beta, rows, events, n), gradient(beta, X, y),
+                                   rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(hessian(beta, rows, events, n), hessian(beta, X, y),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("design", ["model_design 3k", "synthetic_corpus 100k"])
+    def test_per_record_functions_at_fitted_beta(self, request, design):
+        if design == "model_design 3k":
+            X, y = model_design(3000, seed=2)
+        else:
+            X, y = request.getfixturevalue("design_100k")
+        m = fit_logistic(X, y)
+        Xd = np.column_stack([np.ones(len(y)), X])
+        info = -hessian(m.coefficients, Xd, y)
+        step = np.linalg.solve(info, gradient(m.coefficients, Xd, y))
+        assert np.abs(step).max() < 1e-9
+        cov = np.linalg.inv(info)
+        assert np.abs(cov - m.covariance).max() <= 1e-12 * np.abs(m.covariance).max()
+        assert log_likelihood(m.coefficients, Xd, y) == pytest.approx(
+            m.log_likelihood, rel=1e-12, abs=0)
+        assert m.n_obs == len(y)
+
+
 class TestFiniteDifferences:
     def test_gradient_and_hessian(self):
         rng = np.random.default_rng(10)
@@ -206,11 +251,8 @@ class TestUnivariateScreen:
         assert res[3].error == str(DegenerateColumnError("constant"))
         assert res[3].odds_ratio is res[3].p_value is None
 
-    def test_large_well_posed_screen_has_no_errors(self, pretrained, lexicon, grouping):
-        corpus = synthetic_corpus(pretrained, grouping, n=100_000, seed=12)
-        X = np.array([extract_features(r, lexicon, grouping).bits for r in corpus.records],
-                     dtype=float)
-        y = np.array([r.gamification_label for r in corpus.records], dtype=float)
+    def test_large_well_posed_screen_has_no_errors(self, design_100k, grouping):
+        X, y = design_100k
         res = univariate_screen(X, y, names=grouping.names)
         assert [u.error for u in res] == [None] * len(grouping.names)
 

@@ -14,7 +14,7 @@ from gamiscreen.errors import (
     TooFewRecordsError,
     UnknownStoreError,
 )
-from gamiscreen.logit import predict
+from gamiscreen.logit import FittedModel, predict
 from gamiscreen.pipeline import (
     Dataset,
     StudyConfig,
@@ -25,7 +25,7 @@ from gamiscreen.pipeline import (
     score_records,
     split,
 )
-from gamiscreen.textfeatures import AppRecord
+from gamiscreen.textfeatures import AppRecord, VariableGrouping
 
 from conftest import synthetic_corpus
 
@@ -293,6 +293,20 @@ class TestRunStudy:
         for r in recs:
             want = g.predict(report.model, bits[r["id"]])
             assert r["probability"] == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_grouping_keyword_outside_bundled_lexicon(self):
+        # "zorblax" is in no bundled lexicon; its bit must still be set and fitted.
+        grouping = VariableGrouping(variables=(("A", frozenset({"quiz"})),
+                                               ("B", frozenset({"zorblax"}))))
+        truth = FittedModel(variable_names=("constant", "A", "B"),
+                            coefficients=np.array([-1.0, 1.0, 1.5]),
+                            standard_errors=np.zeros(3))
+        corpus = synthetic_corpus(truth, grouping, n=600, seed=21)
+        report = run_study(corpus, grouping=grouping, seed=2)
+        assert report.model.feature_names == ("A", "B")
+        assert [u.error for u in report.univariate] == [None, None]
+        lo, hi = report.model.conf_int()[2]
+        assert lo < 1.5 < hi
 
     def test_determinism(self, small_corpus):
         a = run_study(small_corpus, seed=9).to_json()
