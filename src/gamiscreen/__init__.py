@@ -41,7 +41,6 @@ from .pipeline import (
     Dataset,
     ScoreResult,
     SplitPlan,
-    StudyConfig,
     StudyReport,
     ingest,
     run_study,

@@ -23,7 +23,7 @@ from .evaluation import (
     roc_csv,
     roc_svg,
 )
-from .pipeline import StudyConfig, ingest, load_dataset, run_study, save_dataset, score_records
+from .pipeline import ingest, load_dataset, run_study, save_dataset, score_records
 from .textfeatures import load_lexicon_file
 
 EXIT_OK = 0
@@ -84,8 +84,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_train(args) -> int:
     ds = load_dataset(args.dataset)
     grouping = load_lexicon_file(args.lexicon)[1] if args.lexicon else None
-    config = StudyConfig(selection=args.select)
-    report = run_study(ds, grouping=grouping, seed=args.seed, config=config)
+    report = run_study(ds, grouping=grouping, seed=args.seed, selection=args.select)
     logit.save_model(report.model, args.out, keyword_map=report.keyword_map,
                      training={"seed": args.seed, "generator": pipeline.SPLIT_GENERATOR})
     if args.report:

@@ -122,27 +122,27 @@ def roc_csv(curve: RocCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def roc_svg(curve: RocCurve, width: int = 480, height: int = 480) -> str:
-    """Sensitivity vs 1-specificity with a diagonal reference line."""
-    pad = 50
-    w, h = width - 2 * pad, height - 2 * pad
+def roc_svg(curve: RocCurve) -> str:
+    """Sensitivity vs 1-specificity with a diagonal reference line, on a 480 px square."""
+    size, pad = 480, 50
+    w = size - 2 * pad
 
     def px(f, t):
-        return pad + f * w, pad + (1.0 - t) * h
+        return pad + f * w, pad + (1.0 - t) * w
 
     pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (px(f, t) for f, t in curve.points))
     x0, y0 = px(0, 0)
     x1, y1 = px(1, 1)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect x="{pad}" y="{pad}" width="{w}" height="{h}" fill="none" stroke="black"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">',
+        f'<rect x="{pad}" y="{pad}" width="{w}" height="{w}" fill="none" stroke="black"/>',
         f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
         'stroke="grey" stroke-dasharray="4 4"/>',
         f'<polyline points="{pts}" fill="none" stroke="crimson" stroke-width="1.5"/>',
-        f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle">1 - Specificity</text>',
-        f'<text x="14" y="{height / 2:.0f}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {height / 2:.0f})">Sensitivity</text>',
-        f'<text x="{width / 2:.0f}" y="30" text-anchor="middle">'
+        f'<text x="{size / 2:.0f}" y="{size - 12}" text-anchor="middle">1 - Specificity</text>',
+        f'<text x="14" y="{size / 2:.0f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {size / 2:.0f})">Sensitivity</text>',
+        f'<text x="{size / 2:.0f}" y="30" text-anchor="middle">'
         f'ROC (AUC = {curve.auc:.3f}, 95% CI {curve.auc_ci_low:.3f}-{curve.auc_ci_high:.3f})</text>',
         "</svg>",
     ]
@@ -218,8 +218,7 @@ class CalibrationReport:
     merged: tuple[str, ...]  # labels of strata produced by merging quartiles
 
 
-def calibration_strata(predicted, labels, n_strata: int = 4,
-                       min_positives: int = 5) -> CalibrationReport:
+def calibration_strata(predicted, labels, min_positives: int = 5) -> CalibrationReport:
     """Observed vs mean predicted event rates per predicted-probability quartile.
 
     Records sharing a predicted value are never split across strata, and
@@ -235,16 +234,16 @@ def calibration_strata(predicted, labels, n_strata: int = 4,
     if not np.isin(labels, (0.0, 1.0)).all():
         raise InputError("labels must be binary (0/1)")
     n = len(predicted)
-    if n < n_strata:
-        raise TooFewRecordsError(f"need at least {n_strata} records, got {n}")
+    if n < 4:
+        raise TooFewRecordsError(f"need at least 4 records, got {n}")
 
-    edges = np.quantile(predicted, [k / n_strata for k in range(1, n_strata)])
+    edges = np.quantile(predicted, [0.25, 0.5, 0.75])
     # side='left': a value equal to an edge falls in the lower stratum, so
     # tied values always land together.
     bin_of = np.searchsorted(edges, predicted, side="left")
-    n_obs = np.bincount(bin_of, minlength=n_strata)
-    n_pos = np.bincount(bin_of, weights=labels, minlength=n_strata)
-    p_sum = np.bincount(bin_of, weights=predicted, minlength=n_strata)
+    n_obs = np.bincount(bin_of, minlength=4)
+    n_pos = np.bincount(bin_of, weights=labels, minlength=4)
+    p_sum = np.bincount(bin_of, weights=predicted, minlength=4)
 
     def merge(a, b):
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
@@ -253,7 +252,7 @@ def calibration_strata(predicted, labels, n_strata: int = 4,
     # empty quartile (its ties fell into a lower one) folds into its
     # predecessor; Q1 is never empty, as edges[0] >= min(predicted).
     groups: list[tuple[list[int], int, float, float]] = []
-    for q in range(n_strata):
+    for q in range(4):
         g = ([q], int(n_obs[q]), float(n_pos[q]), float(p_sum[q]))
         if g[1] == 0:
             groups[-1] = merge(groups[-1], g)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -56,7 +56,6 @@ class FittedModel:
     aic: float | None = None
     n_obs: int | None = None
     iterations: int = 0
-    training: dict = field(default_factory=dict)
 
     @property
     def intercept(self) -> float:
@@ -207,7 +206,7 @@ def _solve(info, rhs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnivariateResult:
-    variable_name: str
+    variable: str
     odds_ratio: float | None
     ci_low: float | None
     ci_high: float | None
@@ -243,7 +242,7 @@ def univariate_screen(X, y, names=None) -> list[UnivariateResult]:
             log_or = math.log(odds_ratio)
             se = math.sqrt(1 / a_j + 1 / b_j + 1 / c_j + 1 / d_j)
             results.append(UnivariateResult(
-                variable_name=name,
+                variable=name,
                 odds_ratio=odds_ratio,
                 ci_low=math.exp(log_or - Z95 * se),
                 ci_high=math.exp(log_or + Z95 * se),
@@ -339,7 +338,6 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, VariableGrouping | None]:
         aic=training.get("aic"),
         n_obs=training.get("n_obs"),
         iterations=0,
-        training=dict(training),
     )
     grouping = None
     if all(v.get("keywords") for v in variables):

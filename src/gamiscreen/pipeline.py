@@ -35,7 +35,6 @@ from .textfeatures import (
     APP_TYPES,
     STORES,
     AppRecord,
-    Lexicon,
     VariableGrouping,
     default_grouping,
     extract_features,
@@ -43,6 +42,8 @@ from .textfeatures import (
 )
 
 SPLIT_GENERATOR = "python-random-mt19937/fisher-yates"
+ALPHA = 0.05                     # strict selection keeps univariate p < ALPHA
+CALIBRATION_MIN_POSITIVES = 5    # calibration merges strata with fewer positives
 
 REQUIRED_COLUMNS = ("id", "store", "title", "description")
 
@@ -93,6 +94,9 @@ def _parse_record(row: dict, rownum: int) -> AppRecord:
     for col in REQUIRED_COLUMNS:
         if row.get(col) is None:
             raise ParseError(rownum, f"missing required field {col!r}")
+    for col in ("store", "title", "description", "app_type", "language"):
+        if not isinstance(row.get(col), (str, type(None))):
+            raise ParseError(rownum, f"field {col!r} must be a string")
     store = row["store"].strip().lower()
     if store not in STORES:
         raise UnknownStoreError(row["store"])
@@ -108,8 +112,8 @@ def _parse_record(row: dict, rownum: int) -> AppRecord:
         return AppRecord(
             id=str(row["id"]),
             store=store,
-            title=row["title"] or "",
-            description=row["description"] or "",
+            title=row["title"],
+            description=row["description"],
             gamification_label=label,
             app_type=app_type,
             language=language,
@@ -241,16 +245,9 @@ def split(dataset: Dataset, seed: int) -> SplitPlan:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class StudyConfig:
-    selection: str = "forced"             # "forced": all variables; "strict": univariate p < alpha
-    alpha: float = 0.05
-    calibration_min_positives: int = 5
-
-
-@dataclass
 class StudyReport:
     seed: int
-    config: StudyConfig
+    selection: str
     dataset_summary: dict
     split_plan: SplitPlan
     univariate: list
@@ -266,24 +263,15 @@ class StudyReport:
         return {
             "seed": self.seed,
             "generator": SPLIT_GENERATOR,
-            "config": asdict(self.config),
+            "config": {"selection": self.selection, "alpha": ALPHA,
+                       "calibration_min_positives": CALIBRATION_MIN_POSITIVES},
             "dataset": self.dataset_summary,
             "split": {
                 "seed": self.seed,
                 "n_generation": len(self.split_plan.generation_ids),
                 "n_validation": len(self.split_plan.validation_ids),
             },
-            "univariate": [
-                {
-                    "variable": u.variable_name,
-                    "odds_ratio": u.odds_ratio,
-                    "ci_low": u.ci_low,
-                    "ci_high": u.ci_high,
-                    "p_value": u.p_value,
-                    "error": u.error,
-                }
-                for u in self.univariate
-            ],
+            "univariate": [asdict(u) for u in self.univariate],
             "selected_variables": list(self.selected_variables),
             "model": logit.model_to_dict(self.model, keyword_map=self.keyword_map,
                                          training={"seed": self.seed,
@@ -324,15 +312,16 @@ def _stage(name: str):
 
 
 def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: int = 0,
-              config: StudyConfig | None = None) -> StudyReport:
-    """Feature extraction, split, screening, fit, ROC and calibration in one pass."""
+              selection: str = "forced") -> StudyReport:
+    """Feature extraction, split, screening, fit, ROC and calibration in one pass.
+
+    `selection` "forced" fits every variable, "strict" those with univariate p < ``ALPHA``.
+    """
     grouping = grouping or default_grouping()
-    config = config or StudyConfig()
     names = grouping.names
-    lexicon = Lexicon(grouping.all_keywords)  # bits depend on no other keyword
 
     labeled = dataset.labeled()
-    X = np.array([extract_features(r, lexicon, grouping).bits for r in labeled], dtype=np.uint8)
+    X = np.array([extract_features(r, grouping).bits for r in labeled], dtype=np.uint8)
     y = np.array([r.gamification_label for r in labeled], dtype=np.uint8)
     row = {r.id: i for i, r in enumerate(labeled)}
 
@@ -344,15 +333,15 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
     with _stage("univariate screen"):
         uni = univariate_screen(X_gen, y_gen, names=names)
 
-    if config.selection == "forced":
+    if selection == "forced":
         selected = tuple(names)
-    elif config.selection == "strict":
-        keep = {u.variable_name for u in uni if u.p_value is not None and u.p_value < config.alpha}
+    elif selection == "strict":
+        keep = {u.variable for u in uni if u.p_value is not None and u.p_value < ALPHA}
         selected = tuple(n for n in names if n in keep)
         if not selected:
             raise TooFewRecordsError("strict selection kept no variables")
     else:
-        raise InputError(f"unknown selection mode: {config.selection!r}")
+        raise InputError(f"unknown selection mode: {selection!r}")
 
     sel_idx = [names.index(n) for n in selected]
     with _stage("multivariate fit"):
@@ -366,8 +355,7 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
     with _stage("validation ROC"):
         roc_val = roc_auc(p_val, y_val)
     with _stage("calibration"):
-        calib = calibration_strata(p_val, y_val,
-                                   min_positives=config.calibration_min_positives)
+        calib = calibration_strata(p_val, y_val, min_positives=CALIBRATION_MIN_POSITIVES)
 
     scored = (
         list(zip(plan.generation_ids, repeat("generation"), y_gen.tolist(), p_gen.tolist()))
@@ -377,7 +365,7 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
 
     return StudyReport(
         seed=seed,
-        config=config,
+        selection=selection,
         dataset_summary=dataset.summary(),
         split_plan=plan,
         univariate=uni,
@@ -422,11 +410,10 @@ def score_records(model: FittedModel, grouping: VariableGrouping, records) -> li
     """
     if grouping.names != model.feature_names:
         raise InputError("grouping variables do not match the model's variables")
-    lexicon = Lexicon(keywords=grouping.all_keywords, version="model")
     per_pattern: dict[tuple[int, ...], tuple[float, dict]] = {}
     out = []
     for record in records:
-        fv = extract_features(record, lexicon, grouping)
+        fv = extract_features(record, grouping)
         if fv.bits not in per_pattern:
             per_pattern[fv.bits] = (predict(model, fv), {
                 name: float(model.coefficients[i + 1]) * fv.bits[i] if fv.bits[i] else 0.0

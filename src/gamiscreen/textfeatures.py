@@ -68,17 +68,21 @@ class AppRecord:
         return f"{self.title}\n{self.description}"
 
 
+def _check_keywords(keywords, what: str) -> None:
+    """Every keyword must be one nonempty, casefolded token without whitespace."""
+    for k in keywords:
+        if not k or k != k.casefold() or any(c.isspace() for c in k):
+            raise InputError(f"invalid {what} keyword: {k!r}")
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """The flat set of screening keywords."""
 
     keywords: frozenset[str]
-    version: str = "custom"
 
     def __post_init__(self):
-        for k in self.keywords:
-            if not k or k != k.casefold() or any(c.isspace() for c in k):
-                raise InputError(f"invalid lexicon keyword: {k!r}")
+        _check_keywords(self.keywords, "lexicon")
 
     def __contains__(self, token: str) -> bool:
         return token in self.keywords
@@ -88,8 +92,9 @@ class Lexicon:
 class VariableGrouping:
     """Ordered mapping from model variables to their member keywords.
 
-    Member sets must be pairwise disjoint so every matched keyword
-    contributes to exactly one variable bit.
+    The grouping is the keyword table extraction matches against. Variable
+    names must be distinct, and member sets pairwise disjoint so every
+    matched keyword contributes to exactly one variable bit.
     """
 
     variables: tuple[tuple[str, frozenset[str]], ...]
@@ -101,8 +106,12 @@ class VariableGrouping:
         return cls(variables=tuple((v["name"], frozenset(v["keywords"])) for v in checked))
 
     def __post_init__(self):
+        duplicates = sorted({n for n in self.names if self.names.count(n) > 1})
+        if duplicates:
+            raise InputError(f"duplicate variable names: {duplicates}")
         seen: set[str] = set()
         for name, members in self.variables:
+            _check_keywords(members, f"variable {name!r}")
             if not members:
                 raise InputError(f"variable {name!r} has no member keywords")
             overlap = seen & members
@@ -114,12 +123,10 @@ class VariableGrouping:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.variables)
 
-    @property
+    @cached_property
     def all_keywords(self) -> frozenset[str]:
-        out: set[str] = set()
-        for _, members in self.variables:
-            out |= members
-        return frozenset(out)
+        """The keywords extraction matches: the members of every variable."""
+        return frozenset().union(*(members for _, members in self.variables))
 
     def members(self, name: str) -> frozenset[str]:
         for n, members in self.variables:
@@ -146,9 +153,9 @@ class FeatureVector:
     matched_keywords: frozenset[str] = field(default_factory=frozenset)
 
 
-def match_keywords(record: AppRecord, lexicon: Lexicon) -> frozenset[str]:
-    """Keywords of `lexicon` appearing as whole tokens in title or description."""
-    return lexicon.keywords.intersection(tokenize(record.text))
+def match_keywords(record: AppRecord, keywords: frozenset[str]) -> frozenset[str]:
+    """The `keywords` appearing as whole tokens in title or description."""
+    return keywords.intersection(tokenize(record.text))
 
 
 def build_features(matched: set[str] | frozenset[str], grouping: VariableGrouping) -> FeatureVector:
@@ -165,12 +172,13 @@ def build_features(matched: set[str] | frozenset[str], grouping: VariableGroupin
     return FeatureVector(bits=tuple(bits), matched_keywords=frozenset(matched))
 
 
-def extract_features(record: AppRecord, lexicon: Lexicon, grouping: VariableGrouping) -> FeatureVector:
-    return build_features(match_keywords(record, lexicon), grouping)
+def extract_features(record: AppRecord, grouping: VariableGrouping) -> FeatureVector:
+    """The listing's bits, matched against the grouping's own keywords."""
+    return build_features(match_keywords(record, grouping.all_keywords), grouping)
 
 
 def load_lexicon_file(path_or_text) -> tuple[Lexicon, VariableGrouping]:
-    """Parse a lexicon JSON document: {version, keywords, variables}."""
+    """Parse a lexicon JSON document: {keywords, variables}; a ``version`` is ignored."""
     return _from_doc(read_json(path_or_text, "lexicon file"))
 
 
@@ -178,7 +186,7 @@ def _from_doc(doc: dict) -> tuple[Lexicon, VariableGrouping]:
     keywords = require_fields(doc, "lexicon file", keywords=list[str], variables=list)["keywords"]
     if len(keywords) != len(set(keywords)):
         raise InputError("lexicon file contains duplicate keywords")
-    lexicon = Lexicon(keywords=frozenset(keywords), version=str(doc.get("version", "custom")))
+    lexicon = Lexicon(keywords=frozenset(keywords))
     grouping = VariableGrouping.from_json(doc["variables"], "lexicon variable")
     grouping.check_against(lexicon)
     return lexicon, grouping

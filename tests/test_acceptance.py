@@ -245,11 +245,11 @@ FEATURE_FIXTURES = [
 ]
 
 
-def test_criterion_10_feature_extraction_suite(lexicon, grouping):
+def test_criterion_10_feature_extraction_suite(grouping):
     assert len(FEATURE_FIXTURES) >= 30
     for description, expected_on in FEATURE_FIXTURES:
         record = AppRecord(id="f", store="other", title="", description=description)
-        fv = extract_features(record, lexicon, grouping)
+        fv = extract_features(record, grouping)
         expected_bits = tuple(1 if n in expected_on else 0 for n in grouping.names)
         assert fv.bits == expected_bits, description
     _report(f"criterion 10: feature fixtures ({len(FEATURE_FIXTURES)} descriptions)")

@@ -109,7 +109,8 @@ def test_io_error_exit_code(tmp_path, capsys):
     assert main(["report", "--study", str(tmp_path / "missing.json")]) == 4
 
 
-@pytest.mark.parametrize("line", ["[1, 2]", "7", '"text"', "{bad json", '{"id": "a"'])
+@pytest.mark.parametrize("line", ["[1, 2]", "7", '"text"', "{bad json", '{"id": "a"',
+                                  '{"store": 5}', '{"title": ["x"]}'])
 def test_score_stdin_bad_line_is_input_error(monkeypatch, capsys, line):
     monkeypatch.setattr("sys.stdin", io.StringIO('{"description": "quiz"}\n' + line + "\n"))
     assert main(["score"]) == 2
@@ -181,6 +182,7 @@ def _doc(obj) -> bytes:
 
 
 _MODEL_VARIABLE = {"name": "A", "coefficient": 1.0, "standard_error": 0.5}
+_BAD_KEYWORDS = ("Quiz", "two words", "")  # not casefolded, not one token, empty
 
 
 @pytest.mark.parametrize("command, flag, content", [
@@ -200,11 +202,26 @@ _MODEL_VARIABLE = {"name": "A", "coefficient": 1.0, "standard_error": 0.5}
                                "variables": [{**_MODEL_VARIABLE, "keywords": [["quiz"]]}]})),
     ("score", "--model", _doc({"format_version": 1, "intercept": -1.0,
                                "variables": [{**_MODEL_VARIABLE, "keywords": "quiz"}]})),
+    *[("score", "--model", _doc({"format_version": 1, "intercept": -1.0,
+                                 "variables": [{**_MODEL_VARIABLE, "keywords": [k]}]}))
+      for k in _BAD_KEYWORDS],
+    *[("train", "--lexicon", _doc({"keywords": ["quiz"],
+                                   "variables": [{"name": "A", "keywords": [k]}]}))
+      for k in _BAD_KEYWORDS],
+    ("score", "--model", _doc({"format_version": 1, "intercept": -1.0,
+                               "variables": [{**_MODEL_VARIABLE, "keywords": ["quiz"]},
+                                             {**_MODEL_VARIABLE, "keywords": ["game"]}]})),
+    ("train", "--lexicon", _doc({"keywords": ["quiz", "game"],
+                                 "variables": [{"name": "A", "keywords": ["quiz"]},
+                                               {"name": "A", "keywords": ["game"]}]})),
 ], ids=["model without variables", "model not an object", "lexicon without keywords",
         "study without records", "model not JSON", "lexicon not JSON", "study not JSON",
         "model not UTF-8", "lexicon keyword not a string",
         "lexicon variable keyword not a string", "model variable keyword not a string",
-        "model variable keywords not a list"])
+        "model variable keywords not a list",
+        *[f"model variable keyword {k!r}" for k in _BAD_KEYWORDS],
+        *[f"lexicon variable keyword {k!r}" for k in _BAD_KEYWORDS],
+        "model with duplicate variable names", "lexicon with duplicate variable names"])
 def test_malformed_json_file_is_input_error(corpus_csv, tmp_path, monkeypatch, capsys,
                                             command, flag, content):
     path = tmp_path / "file.json"

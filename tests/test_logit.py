@@ -152,10 +152,10 @@ class TestScaleInvariance:
 
 
 @pytest.fixture(scope="module")
-def design_100k(pretrained, lexicon, grouping):
+def design_100k(pretrained, grouping):
     """Bits and labels of a 100k synthetic corpus."""
     corpus = synthetic_corpus(pretrained, grouping, n=100_000, seed=12)
-    X = np.array([extract_features(r, lexicon, grouping).bits for r in corpus.records],
+    X = np.array([extract_features(r, grouping).bits for r in corpus.records],
                  dtype=float)
     return X, np.array([r.gamification_label for r in corpus.records], dtype=float)
 

@@ -17,7 +17,6 @@ from gamiscreen.errors import (
 from gamiscreen.logit import FittedModel, predict
 from gamiscreen.pipeline import (
     Dataset,
-    StudyConfig,
     ingest,
     load_dataset,
     run_study,
@@ -105,6 +104,26 @@ class TestIngest:
         ]), encoding="utf-8")
         ds = ingest(path)
         assert ds.records[0].gamification_label == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("store", 5), ("title", ["x"]), ("title", 3), ("description", {"a": "quiz"}),
+        ("app_type", 1), ("language", ["en"]),
+    ])
+    def test_json_text_fields_must_be_strings(self, monkeypatch, tmp_path, field, value):
+        good = {"id": "a", "store": "ios", "title": "", "description": "quiz"}
+        bad = {**good, "id": "b", field: value}
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{json.dumps(good)}\n{json.dumps(bad)}\n"))
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps([good, bad]), encoding="utf-8")
+        for source in ("-", path):
+            with pytest.raises(ParseError, match=f"row 2: field {field!r}"):
+                ingest(source)
+
+    def test_json_integer_id_becomes_string(self, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps([{"id": 7, "store": "ios", "title": "", "description": ""}]),
+                        encoding="utf-8")
+        assert ingest(path).records[0].id == "7"
 
     def test_dataset_file_round_trip(self, tmp_path):
         rows = [{"id": "a", "store": "ios", "title": "T", "description": "quiz",
@@ -225,9 +244,18 @@ class TestRunStudy:
         assert report.model.feature_names == grouping.names
 
     def test_strict_mode_subset(self, small_corpus, grouping):
-        report = run_study(small_corpus, seed=3, config=StudyConfig(selection="strict"))
+        report = run_study(small_corpus, seed=3, selection="strict")
         assert set(report.selected_variables) <= set(grouping.names)
         assert len(report.selected_variables) >= 1
+
+    @pytest.mark.parametrize("selection", ["forced", "strict"])
+    def test_report_config_and_univariate_keys(self, small_corpus, selection):
+        doc = run_study(small_corpus, seed=3, selection=selection).to_dict()
+        assert list(doc["config"].items()) == [
+            ("selection", selection), ("alpha", 0.05), ("calibration_min_positives", 5)]
+        for entry in doc["univariate"]:
+            assert list(entry) == ["variable", "odds_ratio", "ci_low", "ci_high", "p_value",
+                                   "error"]
 
     def test_perfect_predictor_aborts_with_stage(self, grouping):
         # labels equal the Game Labels bit exactly; other variables vary
@@ -288,8 +316,8 @@ class TestRunStudy:
             roc = g.roc_auc([r["probability"] for r in sub], [r["label"] for r in sub])
             assert roc.auc == doc["roc"][group]["auc"]
         # per-record reference for the vectorized study probabilities
-        lexicon, grouping = g.default_lexicon(), g.default_grouping()
-        bits = {r.id: g.extract_features(r, lexicon, grouping).bits for r in small_corpus.records}
+        grouping = g.default_grouping()
+        bits = {r.id: g.extract_features(r, grouping).bits for r in small_corpus.records}
         for r in recs:
             want = g.predict(report.model, bits[r["id"]])
             assert r["probability"] == pytest.approx(want, rel=0, abs=1e-12)

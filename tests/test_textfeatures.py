@@ -88,23 +88,34 @@ class TestDefaultGrouping:
                 ("B", frozenset({"game", "play"})),
             ))
 
+    @pytest.mark.parametrize("variables, message", [
+        ((("A", {"game"}), ("A", {"play"})), "duplicate variable names: ['A']"),
+        ((("A", {"Quiz"}),), "invalid variable 'A' keyword: 'Quiz'"),
+        ((("A", {"two words"}),), "invalid variable 'A' keyword: 'two words'"),
+        ((("A", {""}),), "invalid variable 'A' keyword: ''"),
+    ], ids=["duplicate names", "not casefolded", "two tokens", "empty"])
+    def test_malformed_grouping_rejected(self, variables, message):
+        with pytest.raises(InputError) as exc:
+            VariableGrouping(variables=tuple((n, frozenset(m)) for n, m in variables))
+        assert str(exc.value) == message
+
 
 class TestMatching:
     def test_title_matched(self, lexicon):
         r = AppRecord(id="1", store="ios", title="Quiz about BC", description="")
-        assert match_keywords(r, lexicon) == {"quiz"}
+        assert match_keywords(r, lexicon.keywords) == {"quiz"}
 
     def test_near_miss_token(self, lexicon):
         r = AppRecord(id="1", store="ios", description="gamer community")
-        assert match_keywords(r, lexicon) == set()
+        assert match_keywords(r, lexicon.keywords) == set()
 
     def test_whole_token_scan(self, lexicon):
         r = AppRecord(id="1", store="android", description="Log and track your routine")
-        assert match_keywords(r, lexicon) == {"log", "track", "routine"}
+        assert match_keywords(r, lexicon.keywords) == {"log", "track", "routine"}
 
     def test_no_substring_matching(self, lexicon):
         r = AppRecord(id="1", store="android", description="untracked gamesmanship")
-        assert match_keywords(r, lexicon) == set()
+        assert match_keywords(r, lexicon.keywords) == set()
 
 
 class TestBuildFeatures:
@@ -122,12 +133,12 @@ class TestBuildFeatures:
         on = {"Quizzes", "Story", "Diary"}
         assert fv.bits == tuple(1 if n in on else 0 for n in grouping.names)
 
-    def test_lexicon_word_outside_grouping_sets_no_bit(self, lexicon, grouping):
-        # "score" is a lexicon keyword but belongs to no model variable
+    def test_lexicon_word_outside_grouping_sets_no_bit(self, grouping):
+        # "score" is a lexicon keyword but belongs to no model variable, so it is not matched
         r = AppRecord(id="1", store="android", description="high score")
-        fv = extract_features(r, lexicon, grouping)
+        fv = extract_features(r, grouping)
         assert fv.bits == (0,) * 14
-        assert fv.matched_keywords == frozenset({"score"})
+        assert fv.matched_keywords == frozenset()
 
 
 class TestRecordValidation:
@@ -152,28 +163,28 @@ class TestProperties:
     @given(text_strategy)
     def test_case_invariance(self, text):
         import gamiscreen as g
-        lexicon, grouping = g.default_lexicon(), g.default_grouping()
+        grouping = g.default_grouping()
         r1 = AppRecord(id="1", store="ios", description=text)
         r2 = AppRecord(id="2", store="ios", description=text.upper())
-        fv1 = extract_features(r1, lexicon, grouping)
-        fv2 = extract_features(r2, lexicon, grouping)
+        fv1 = extract_features(r1, grouping)
+        fv2 = extract_features(r2, grouping)
         assert fv1.bits == fv2.bits
 
     @given(text_strategy)
     def test_idempotence(self, text):
         import gamiscreen as g
-        lexicon, grouping = g.default_lexicon(), g.default_grouping()
+        grouping = g.default_grouping()
         r = AppRecord(id="1", store="ios", description=text)
-        assert extract_features(r, lexicon, grouping) == extract_features(r, lexicon, grouping)
+        assert extract_features(r, grouping) == extract_features(r, grouping)
 
     @given(text_strategy)
     def test_appending_non_keyword_text_is_noop(self, text):
         import gamiscreen as g
-        lexicon, grouping = g.default_lexicon(), g.default_grouping()
+        grouping = g.default_grouping()
         r1 = AppRecord(id="1", store="ios", description=text)
         r2 = AppRecord(id="2", store="ios", description=text + " zyxxyq blorp9")
-        assert (extract_features(r1, lexicon, grouping).bits
-                == extract_features(r2, lexicon, grouping).bits)
+        assert (extract_features(r1, grouping).bits
+                == extract_features(r2, grouping).bits)
 
     @given(st.sets(st.sampled_from(sorted({
         "log", "play", "game", "engage", "quiz", "player", "diary", "change",
