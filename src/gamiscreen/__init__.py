@@ -52,11 +52,9 @@ from .textfeatures import (
     FeatureVector,
     Lexicon,
     VariableGrouping,
-    build_features,
     default_grouping,
     default_lexicon,
     extract_features,
-    match_keywords,
     tokenize,
 )
 

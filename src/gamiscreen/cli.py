@@ -114,10 +114,10 @@ def _cmd_evaluate(args) -> int:
     model, grouping = _scoring_model(args.model)
     ds = load_dataset(args.dataset)
     labeled = ds.labeled()
-    if args.split in ("validation", "generation"):
-        plan = pipeline.split(ds, args.seed)
-        keep = set(plan.validation_ids if args.split == "validation" else plan.generation_ids)
-        labeled = [r for r in labeled if r.id in keep]
+    if args.split != "all":
+        # In plan order, as `run_study` sums them, so the numbers equal the report's.
+        by_id = {r.id: r for r in labeled}
+        labeled = [by_id[i] for i in getattr(pipeline.split(ds, args.seed), f"{args.split}_ids")]
     results = score_records(model, grouping, labeled)
     probs = np.array([r.probability for r in results])
     labels = np.array([r.gamification_label for r in labeled], dtype=float)

@@ -28,7 +28,7 @@ from .errors import (
     require_fields,
 )
 from .evaluation import Z95
-from .textfeatures import FeatureVector, VariableGrouping
+from .textfeatures import VariableGrouping
 
 INTERCEPT_NAME = "constant"
 
@@ -251,14 +251,28 @@ def univariate_screen(X, y, names=None) -> list[UnivariateResult]:
     return results
 
 
-def predict(model: FittedModel, fv) -> float:
-    """Probability of gamification presence for one feature vector."""
-    bits = fv.bits if isinstance(fv, FeatureVector) else tuple(fv)
-    p = len(model.coefficients) - 1
-    if len(bits) != p:
-        raise ArityMismatchError(p, len(bits))
-    score = model.intercept + float(np.dot(model.coefficients[1:], bits))
-    return float(expit(score))
+def contributions(model: FittedModel, X) -> np.ndarray:
+    """C-ordered log-odds terms per row of the 0/1 matrix `X`: each bit's coefficient, or 0.0."""
+    X = np.asarray(X, order="C")
+    if X.shape[1] != len(model.feature_names):
+        raise ArityMismatchError(len(model.feature_names), X.shape[1])
+    on = X == 1
+    if not (on | (X == 0)).all():
+        raise InputError("feature bits must be 0 or 1")
+    return np.where(on, model.coefficients[1:], 0.0)
+
+
+def probabilities(model: FittedModel, X) -> np.ndarray:
+    """Probability of gamification presence per row of the 0/1 matrix `X`."""
+    # Each C-ordered row of terms is summed by itself, so a probability depends on its bits
+    # alone. The C order is load-bearing: a column selection `X[:, cols]` is Fortran-ordered,
+    # and summing that layout as it comes changes the last bit of some rows.
+    return expit(model.intercept + contributions(model, X).sum(axis=1))
+
+
+def predict(model: FittedModel, bits) -> float:
+    """Probability of gamification presence for one row of bits."""
+    return float(probabilities(model, [bits])[0])
 
 
 # ---------------------------------------------------------------------------

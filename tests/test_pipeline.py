@@ -14,7 +14,7 @@ from gamiscreen.errors import (
     TooFewRecordsError,
     UnknownStoreError,
 )
-from gamiscreen.logit import FittedModel, predict
+from gamiscreen.logit import FittedModel, predict, probabilities
 from gamiscreen.pipeline import (
     Dataset,
     ingest,
@@ -107,7 +107,7 @@ class TestIngest:
 
     @pytest.mark.parametrize("field, value", [
         ("store", 5), ("title", ["x"]), ("title", 3), ("description", {"a": "quiz"}),
-        ("app_type", 1), ("language", ["en"]),
+        ("app_type", 1), ("language", ["en"]), ("id", ["a"]), ("id", 1.5), ("id", True),
     ])
     def test_json_text_fields_must_be_strings(self, monkeypatch, tmp_path, field, value):
         good = {"id": "a", "store": "ios", "title": "", "description": "quiz"}
@@ -319,8 +319,7 @@ class TestRunStudy:
         grouping = g.default_grouping()
         bits = {r.id: g.extract_features(r, grouping).bits for r in small_corpus.records}
         for r in recs:
-            want = g.predict(report.model, bits[r["id"]])
-            assert r["probability"] == pytest.approx(want, rel=0, abs=1e-12)
+            assert r["probability"] == g.predict(report.model, bits[r["id"]])
 
     def test_grouping_keyword_outside_bundled_lexicon(self):
         # "zorblax" is in no bundled lexicon; its bit must still be set and fitted.
@@ -379,16 +378,20 @@ class TestScore:
         r = score_records(pretrained, grouping, [rec])[0]
         assert r.probability == pytest.approx(0.477, abs=1e-3)
 
+    def test_no_records(self, pretrained):
+        assert score_records(pretrained, g.pretrained_grouping(), []) == []
+
     def test_per_pattern_table_matches_per_record(self, pretrained, small_corpus,
                                                    monkeypatch):
         calls = []
-        monkeypatch.setattr("gamiscreen.pipeline.predict",
-                            lambda model, fv: calls.append(fv.bits) or predict(model, fv))
+        monkeypatch.setattr("gamiscreen.pipeline.probabilities",
+                            lambda model, X: calls.append(X.tolist()) or probabilities(model, X))
         grouping = g.pretrained_grouping()
         results = score_records(pretrained, grouping, small_corpus.records)
-        # one predict per distinct pattern, and the corpus repeats patterns
-        assert sorted(calls) == sorted({r.bits for r in results})
-        assert len(calls) < len(results) / 2
+        # one `probabilities` call, on exactly the distinct patterns; the corpus repeats patterns
+        assert len(calls) == 1
+        assert sorted(map(tuple, calls[0])) == sorted({r.bits for r in results})
+        assert len(calls[0]) < len(results) / 2
         for r in results:
             assert r.probability == predict(pretrained, r.bits)
             assert r.contributions == {

@@ -10,11 +10,9 @@ from gamiscreen.textfeatures import (
     Lexicon,
     VariableGrouping,
     _TOKEN_RE,
-    build_features,
     default_lexicon,
     extract_features,
     load_lexicon_file,
-    match_keywords,
     tokenize,
 )
 
@@ -100,36 +98,41 @@ class TestDefaultGrouping:
         assert str(exc.value) == message
 
 
+def record_of(words):
+    """A listing whose description is exactly `words`."""
+    return AppRecord(id="1", store="ios", description=" ".join(sorted(words)))
+
+
 class TestMatching:
-    def test_title_matched(self, lexicon):
+    def test_title_matched(self, grouping):
         r = AppRecord(id="1", store="ios", title="Quiz about BC", description="")
-        assert match_keywords(r, lexicon.keywords) == {"quiz"}
+        assert extract_features(r, grouping).matched_keywords == {"quiz"}
 
-    def test_near_miss_token(self, lexicon):
+    def test_near_miss_token(self, grouping):
         r = AppRecord(id="1", store="ios", description="gamer community")
-        assert match_keywords(r, lexicon.keywords) == set()
+        assert extract_features(r, grouping).matched_keywords == set()
 
-    def test_whole_token_scan(self, lexicon):
+    def test_whole_token_scan(self, grouping):
         r = AppRecord(id="1", store="android", description="Log and track your routine")
-        assert match_keywords(r, lexicon.keywords) == {"log", "track", "routine"}
+        assert extract_features(r, grouping).matched_keywords == {"log", "track", "routine"}
 
-    def test_no_substring_matching(self, lexicon):
+    def test_no_substring_matching(self, grouping):
         r = AppRecord(id="1", store="android", description="untracked gamesmanship")
-        assert match_keywords(r, lexicon.keywords) == set()
+        assert extract_features(r, grouping).matched_keywords == set()
 
 
 class TestBuildFeatures:
     def test_empty(self, grouping):
-        fv = build_features(set(), grouping)
+        fv = extract_features(record_of(set()), grouping)
         assert fv.bits == (0,) * 14
 
     def test_activity_tracking_only(self, grouping):
-        fv = build_features({"log", "track"}, grouping)
+        fv = extract_features(record_of({"log", "track"}), grouping)
         expected = tuple(1 if n == "Activity Tracking" else 0 for n in grouping.names)
         assert fv.bits == expected
 
     def test_three_variables(self, grouping):
-        fv = build_features({"quiz", "story", "diary"}, grouping)
+        fv = extract_features(record_of({"quiz", "story", "diary"}), grouping)
         on = {"Quizzes", "Story", "Diary"}
         assert fv.bits == tuple(1 if n in on else 0 for n in grouping.names)
 
@@ -193,7 +196,7 @@ class TestProperties:
     def test_bit_semantics(self, chosen):
         import gamiscreen as g
         grouping = g.default_grouping()
-        fv = build_features(chosen, grouping)
+        fv = extract_features(record_of(chosen), grouping)
         for i, (name, members) in enumerate(grouping.variables):
             assert fv.bits[i] == int(bool(chosen & members))
 
@@ -252,9 +255,9 @@ class TestBitIndexMatchesIntersections:
         import gamiscreen as g
         _, custom = load_lexicon_file(io.StringIO(json.dumps(CUSTOM_LEXICON)))
         for grouping in (g.default_grouping(), custom, g.default_grouping()):
-            fv = build_features(chosen, grouping)
+            fv = extract_features(record_of(chosen), grouping)
             assert fv.bits == intersection_bits(chosen, grouping)
-            assert fv.matched_keywords == frozenset(chosen)
+            assert fv.matched_keywords == frozenset(chosen) & grouping.all_keywords
 
     def test_index_is_per_grouping(self, grouping):
         _, custom = load_lexicon_file(io.StringIO(json.dumps(CUSTOM_LEXICON)))
