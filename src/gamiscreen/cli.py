@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate a raw CSV/JSON file and write dataset.json")
     p.add_argument("input")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="run the full study on a labeled dataset")
@@ -56,12 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--split", choices=("validation", "generation", "all"), default="all")
-    p.add_argument("--seed", type=int, default=0, help="seed of the split to reproduce")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the split to reproduce; the model's own by default")
 
     p = sub.add_parser("score", help="score records with a model (bundled model by default)")
     p.add_argument("--model", default=None)
     p.add_argument("--input", default="-", help="CSV/JSON records file, or - for stdin JSON lines")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--explain", action="store_true",
                    help="include matched keywords and per-variable contributions")
 
@@ -75,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> int:
-    ds = ingest(args.input, fmt=args.format)
+    ds = ingest(args.input)
     save_dataset(ds, args.out)
     print(json.dumps(ds.summary(), indent=2))
     return EXIT_OK
@@ -85,8 +84,7 @@ def _cmd_train(args) -> int:
     ds = load_dataset(args.dataset)
     grouping = load_lexicon_file(args.lexicon)[1] if args.lexicon else None
     report = run_study(ds, grouping=grouping, seed=args.seed, selection=args.select)
-    logit.save_model(report.model, args.out, keyword_map=report.keyword_map,
-                     training={"seed": args.seed, "generator": pipeline.SPLIT_GENERATOR})
+    logit.save_model(report.model, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
@@ -100,25 +98,19 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _scoring_model(path):
-    """The model and grouping in the file at `path`; the bundled pair when `path` is None."""
-    if path is None:
-        return logit.pretrained_model(), logit.pretrained_grouping()
-    model, grouping = logit.load_model(path)
-    if grouping is None:
-        raise InputError("model file carries no keywords; cannot score raw text")
-    return model, grouping
-
-
 def _cmd_evaluate(args) -> int:
-    model, grouping = _scoring_model(args.model)
+    model = logit.load_model(args.model)
     ds = load_dataset(args.dataset)
     labeled = ds.labeled()
     if args.split != "all":
+        seed = model.seed if args.seed is None else args.seed
+        if seed is None:
+            raise InputError("model records no split seed; give --seed to evaluate the "
+                             f"{args.split} group")
         # In plan order, as `run_study` sums them, so the numbers equal the report's.
         by_id = {r.id: r for r in labeled}
-        labeled = [by_id[i] for i in getattr(pipeline.split(ds, args.seed), f"{args.split}_ids")]
-    results = score_records(model, grouping, labeled)
+        labeled = [by_id[i] for i in getattr(pipeline.split(ds, seed), f"{args.split}_ids")]
+    results = score_records(model, labeled)
     probs = np.array([r.probability for r in results])
     labels = np.array([r.gamification_label for r in labeled], dtype=float)
     roc = roc_auc(probs, labels)
@@ -135,8 +127,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    model, grouping = _scoring_model(args.model)
-    for result in score_records(model, grouping, ingest(args.input, fmt=args.format).records):
+    model = logit.load_model(args.model) if args.model else logit.pretrained_model()
+    for result in score_records(model, ingest(args.input).records):
         print(json.dumps(result.to_dict(explain=args.explain)))
     return EXIT_OK
 

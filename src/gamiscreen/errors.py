@@ -54,7 +54,7 @@ def read_json(source, what: str):
     try:
         if hasattr(source, "read"):
             return json.load(source)
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(None, f"{what} is not valid JSON: {exc}") from exc
@@ -74,10 +74,10 @@ class DuplicateIdError(InputError):
         super().__init__(f"duplicate record id: {record_id!r}")
 
 
-class UnknownStoreError(InputError):
-    def __init__(self, value: str):
+class UnknownStoreError(ParseError):
+    def __init__(self, row: int | None, value: str):
         self.value = value
-        super().__init__(f"unknown store: {value!r} (expected android, ios or other)")
+        super().__init__(row, f"unknown store: {value!r} (expected android, ios or other)")
 
 
 class TooFewRecordsError(InputError):

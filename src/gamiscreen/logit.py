@@ -31,6 +31,7 @@ from .evaluation import Z95
 from .textfeatures import VariableGrouping
 
 INTERCEPT_NAME = "constant"
+SPLIT_GENERATOR = "python-random-mt19937/fisher-yates"
 
 
 MAX_ITER = 50
@@ -46,6 +47,9 @@ class FittedModel:
     ``variable_names`` starts with the intercept. ``covariance``,
     ``log_likelihood`` and ``aic`` are None for models loaded from files
     that do not carry them (e.g. the bundled pre-trained model).
+    ``grouping`` holds the keywords of ``feature_names``, so the model can
+    score raw text, and ``seed`` is the seed of the split it was fitted on;
+    a model fitted from a bare 0/1 matrix has neither.
     """
 
     variable_names: tuple[str, ...]
@@ -56,6 +60,12 @@ class FittedModel:
     aic: float | None = None
     n_obs: int | None = None
     iterations: int = 0
+    grouping: VariableGrouping | None = None
+    seed: int | None = None
+
+    def __post_init__(self):
+        if self.grouping is not None and self.grouping.names != self.feature_names:
+            raise InputError("grouping variables do not match the model's variables")
 
     @property
     def intercept(self) -> float:
@@ -282,14 +292,12 @@ def predict(model: FittedModel, bits) -> float:
 FORMAT_VERSION = 1
 
 
-def model_to_dict(model: FittedModel, keyword_map: dict[str, list[str]] | None = None,
-                  training: dict | None = None) -> dict:
+def model_to_dict(model: FittedModel) -> dict:
     """Serialize a model to the interchange dict.
 
-    ``keyword_map`` supplies the member keywords per variable so the file
-    is self-contained for scoring; omitted variables get an empty list.
+    Each variable's keywords come from ``model.grouping`` (an empty list
+    without one), which makes the file self-contained for scoring.
     """
-    keyword_map = keyword_map or {}
     ci = model.conf_int()
     pvals = model.p_values()
     ors = model.odds_ratios()
@@ -299,7 +307,7 @@ def model_to_dict(model: FittedModel, keyword_map: dict[str, list[str]] | None =
             continue
         variables.append({
             "name": name,
-            "keywords": sorted(keyword_map.get(name, [])),
+            "keywords": sorted(model.grouping.members(name)) if model.grouping else [],
             "coefficient": float(model.coefficients[i]),
             "standard_error": float(model.standard_errors[i]),
             "odds_ratio": float(ors[i]),
@@ -307,30 +315,27 @@ def model_to_dict(model: FittedModel, keyword_map: dict[str, list[str]] | None =
             "ci_high": float(ci[i, 1]),
             "p_value": float(pvals[i]),
         })
-    training_out = {
-        "n_obs": model.n_obs,
-        "log_likelihood": model.log_likelihood,
-        "aic": model.aic,
-        "seed": None,
-        "timestamp": None,
-        "generator": None,
-    }
-    if training:
-        training_out.update(training)
     return {
         "format_version": FORMAT_VERSION,
         "intercept": model.intercept,
         "intercept_standard_error": float(model.standard_errors[0]),
         "variables": variables,
-        "training": training_out,
+        "training": {
+            "n_obs": model.n_obs,
+            "log_likelihood": model.log_likelihood,
+            "aic": model.aic,
+            "seed": model.seed,
+            "timestamp": None,
+            "generator": None if model.seed is None else SPLIT_GENERATOR,
+        },
     }
 
 
-def model_from_dict(doc: dict) -> tuple[FittedModel, VariableGrouping | None]:
+def model_from_dict(doc: dict) -> FittedModel:
     """Inverse of :func:`model_to_dict`.
 
-    Returns the model plus, when every variable carries keywords, the
-    grouping needed to score raw text against it.
+    The model gets a grouping when every variable carries keywords, and
+    ``training.seed`` as its seed, which must be an integer or null.
     """
     if require_fields(doc, "model file").get("format_version") != FORMAT_VERSION:
         raise InputError(f"unsupported model format_version: {doc.get('format_version')!r}")
@@ -343,7 +348,14 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, VariableGrouping | None]:
     se = np.array([doc.get("intercept_standard_error", float("nan"))]
                   + [v["standard_error"] for v in variables])
     training = require_fields(doc.get("training") or {}, "model training block")
-    model = FittedModel(
+    seed = training.get("seed")
+    # `Random("7")` and `Random(7.5)` would give some other split without complaint.
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise InputError(f"model training seed must be an integer or null, got {seed!r}")
+    grouping = None
+    if all(v.get("keywords") for v in variables):
+        grouping = VariableGrouping.from_json(variables, "model variable")
+    return FittedModel(
         variable_names=names,
         coefficients=coefficients,
         standard_errors=se,
@@ -352,37 +364,28 @@ def model_from_dict(doc: dict) -> tuple[FittedModel, VariableGrouping | None]:
         aic=training.get("aic"),
         n_obs=training.get("n_obs"),
         iterations=0,
+        grouping=grouping,
+        seed=seed,
     )
-    grouping = None
-    if all(v.get("keywords") for v in variables):
-        grouping = VariableGrouping.from_json(variables, "model variable")
-    return model, grouping
 
 
-def save_model(model: FittedModel, path, keyword_map=None, training=None) -> None:
-    doc = model_to_dict(model, keyword_map=keyword_map, training=training)
+def save_model(model: FittedModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(model_to_dict(model), fh, indent=2)
         fh.write("\n")
 
 
-def load_model(path) -> tuple[FittedModel, VariableGrouping | None]:
+def load_model(path) -> FittedModel:
     return model_from_dict(read_json(path, "model file"))
 
 
 @lru_cache(maxsize=1)
-def _pretrained() -> tuple[FittedModel, VariableGrouping]:
-    text = resources.files("gamiscreen.data").joinpath("pretrained_model.json").read_text(encoding="utf-8")
-    model, grouping = model_from_dict(json.loads(text))
-    assert grouping is not None
-    return model, grouping
-
-
 def pretrained_model() -> FittedModel:
-    """The bundled 14-variable screening model (frozen coefficients)."""
-    return _pretrained()[0]
+    """The bundled 14-variable screening model (frozen coefficients), with its grouping."""
+    text = resources.files("gamiscreen.data").joinpath("pretrained_model.json").read_text(encoding="utf-8")
+    return model_from_dict(json.loads(text))
 
 
 def pretrained_grouping() -> VariableGrouping:
-    """Variable grouping matching :func:`pretrained_model`."""
-    return _pretrained()[1]
+    """Variable grouping of :func:`pretrained_model`."""
+    return pretrained_model().grouping

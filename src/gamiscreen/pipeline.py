@@ -12,8 +12,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
+from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from random import Random
 
@@ -29,7 +28,14 @@ from .errors import (
     UnknownStoreError,
 )
 from .evaluation import CalibrationReport, calibration_strata, calibration_to_dict, roc_auc
-from .logit import FittedModel, contributions, fit_logistic, probabilities, univariate_screen
+from .logit import (
+    SPLIT_GENERATOR,
+    FittedModel,
+    contributions,
+    fit_logistic,
+    probabilities,
+    univariate_screen,
+)
 from .logit import predict  # noqa: F401  (the benchmark's traced pass wraps it here)
 from .textfeatures import (
     APP_TYPES,
@@ -41,7 +47,6 @@ from .textfeatures import (
     tokenize,
 )
 
-SPLIT_GENERATOR = "python-random-mt19937/fisher-yates"
 ALPHA = 0.05                     # strict selection keeps univariate p < ALPHA
 CALIBRATION_MIN_POSITIVES = 5    # calibration merges strata with fewer positives
 
@@ -56,7 +61,6 @@ REQUIRED_COLUMNS = ("id", "store", "title", "description")
 class Dataset:
     records: list[AppRecord]
     source: str = "<memory>"
-    ingested_at: str | None = None
 
     def __post_init__(self):
         seen: set[str] = set()
@@ -101,7 +105,7 @@ def _parse_record(row: dict, rownum: int) -> AppRecord:
             raise ParseError(rownum, f"field {col!r} must be a string")
     store = row["store"].strip().lower()
     if store not in STORES:
-        raise UnknownStoreError(row["store"])
+        raise UnknownStoreError(rownum, row["store"])
     label_raw = row.get("gamification_label")
     label = None
     if label_raw not in (None, ""):
@@ -138,40 +142,39 @@ def _json_lines(text: str):
         yield row, i
 
 
-def ingest(path, fmt: str | None = None) -> Dataset:
+def ingest(path) -> Dataset:
     """Read app records into a validated Dataset: the package's one reader.
 
     `path` is a CSV file, a JSON file holding an array of records or an
     object with a ``"records"`` array (what `save_dataset` writes), or
     ``-`` for JSON lines on stdin, where each object is merged over the
     defaults ``id = stdin-<line>``, ``store = other`` and empty text.
-    Input must be UTF-8; undecodable bytes are rejected, not replaced.
-    A file's format is inferred from its extension when `fmt` is omitted.
+    A file whose name ends in ``.json`` is read as JSON, any other as CSV.
+    Input must be UTF-8, with or without a byte-order mark; undecodable
+    bytes are rejected, not replaced.
     """
     path = str(path)
-    if fmt is None:
-        fmt = "json" if path.endswith(".json") else "csv"
     try:
         if path == "-":
             # The bytes under a text stdin, so its error handler cannot mask bad UTF-8.
             stdin = getattr(sys.stdin, "buffer", None)
-            text = stdin.read().decode("utf-8") if stdin else sys.stdin.read()
+            text = stdin.read().decode("utf-8-sig") if stdin else sys.stdin.read()
         else:
-            with open(path, encoding="utf-8", errors="strict", newline="") as fh:
+            with open(path, encoding="utf-8-sig", errors="strict", newline="") as fh:
                 text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(None, f"not valid UTF-8: {exc}") from exc
 
     if path == "-":
         rows = _json_lines(text)
-    elif fmt == "csv":
+    elif not path.endswith(".json"):
         reader = csv.DictReader(io.StringIO(text))
         header = reader.fieldnames or []
         missing = [c for c in REQUIRED_COLUMNS if c not in header]
         if missing:
             raise ParseError(None, f"missing required columns: {', '.join(missing)}")
         rows = ((r, i) for i, r in enumerate(reader, start=2))
-    elif fmt == "json":
+    else:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -181,8 +184,6 @@ def ingest(path, fmt: str | None = None) -> Dataset:
         if not isinstance(doc, list):
             raise ParseError(None, "expected a JSON array of records")
         rows = ((r, i) for i, r in enumerate(doc, start=1))
-    else:
-        raise InputError(f"unknown format: {fmt!r}")
 
     records: list[AppRecord] = []
     for row, rownum in rows:
@@ -190,14 +191,12 @@ def ingest(path, fmt: str | None = None) -> Dataset:
             raise ParseError(rownum, "record is not an object")
         records.append(_parse_record(row, rownum))
 
-    ingested_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return Dataset(records=records, source=path, ingested_at=ingested_at)
+    return Dataset(records=records, source=path)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     doc = {
         "source": dataset.source,
-        "ingested_at": dataset.ingested_at,
         "summary": dataset.summary(),
         # The fields in declaration order, like `asdict`, without its deep copy
         # of every value (which doubles the write time at 100k records).
@@ -253,9 +252,7 @@ class StudyReport:
     dataset_summary: dict
     split_plan: SplitPlan
     univariate: list
-    selected_variables: tuple[str, ...]
     model: FittedModel
-    keyword_map: dict
     roc_generation: object
     roc_validation: object
     calibration: CalibrationReport
@@ -274,10 +271,8 @@ class StudyReport:
                 "n_validation": len(self.split_plan.validation_ids),
             },
             "univariate": [asdict(u) for u in self.univariate],
-            "selected_variables": list(self.selected_variables),
-            "model": logit.model_to_dict(self.model, keyword_map=self.keyword_map,
-                                         training={"seed": self.seed,
-                                                   "generator": SPLIT_GENERATOR}),
+            "selected_variables": list(self.model.feature_names),
+            "model": logit.model_to_dict(self.model),
             "roc": {
                 group: {
                     "auc": roc.auc,
@@ -347,7 +342,9 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
 
     sel_idx = [names.index(n) for n in selected]
     with _stage("multivariate fit"):
-        model = fit_logistic(X_gen[:, sel_idx], y_gen, names=selected)
+        fit = fit_logistic(X_gen[:, sel_idx], y_gen, names=selected)
+    model = replace(fit, seed=seed, grouping=VariableGrouping(
+        tuple((n, grouping.members(n)) for n in selected)))
 
     p = probabilities(model, X[:, sel_idx])
     p_gen, y_val, p_val = p[gen], y[val], p[val]
@@ -363,7 +360,6 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
         list(zip(plan.generation_ids, repeat("generation"), y_gen.tolist(), p_gen.tolist()))
         + list(zip(plan.validation_ids, repeat("validation"), y_val.tolist(), p_val.tolist()))
     )
-    keyword_map = {n: sorted(grouping.members(n)) for n in selected}
 
     return StudyReport(
         seed=seed,
@@ -371,9 +367,7 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
         dataset_summary=dataset.summary(),
         split_plan=plan,
         univariate=uni,
-        selected_variables=selected,
         model=model,
-        keyword_map=keyword_map,
         roc_generation=roc_gen,
         roc_validation=roc_val,
         calibration=calib,
@@ -402,17 +396,16 @@ class ScoreResult:
         return out
 
 
-def score_records(model: FittedModel, grouping: VariableGrouping, records) -> list[ScoreResult]:
-    """Score app records with a (possibly pre-trained) model.
+def score_records(model: FittedModel, records) -> list[ScoreResult]:
+    """Score app records against the model's own keyword grouping.
 
-    The grouping normally comes from the model file itself, keeping a
-    model self-contained; output order equals input order. One
-    `probabilities` and one `contributions` call over the distinct bit
-    patterns give a per-pattern table; every result gets its own copy of
-    the contributions dict.
+    Output order equals input order. One `probabilities` and one
+    `contributions` call over the distinct bit patterns give a per-pattern
+    table; every result gets its own copy of the contributions dict.
     """
-    if grouping.names != model.feature_names:
-        raise InputError("grouping variables do not match the model's variables")
+    grouping = model.grouping
+    if grouping is None:
+        raise InputError("model carries no keywords; cannot score raw text")
     features = [(r, extract_features(r, grouping)) for r in records]
     patterns = list(dict.fromkeys(fv.bits for _, fv in features))
     X = np.array(patterns, dtype=np.uint8).reshape(len(patterns), len(grouping.names))

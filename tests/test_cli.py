@@ -3,6 +3,7 @@ import io
 import json
 import runpy
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -166,6 +167,63 @@ def test_evaluate_reproduces_the_report(corpus_csv, tmp_path, capsys, select):
         assert evaluated["calibration"] == calibration
 
 
+def test_evaluate_defaults_to_the_model_seed(corpus_csv, tmp_path, capsys):
+    model, report = tmp_path / "model.json", tmp_path / "report.json"
+    assert main(["train", "--dataset", str(corpus_csv), "--seed", "7",
+                 "--out", str(model), "--report", str(report)]) == 0
+    capsys.readouterr()
+    study = json.loads(report.read_text(encoding="utf-8"))
+    for split in ("validation", "generation"):
+        outputs = []
+        for extra in ([], ["--seed", "7"]):
+            assert main(["evaluate", "--model", str(model), "--dataset", str(corpus_csv),
+                         "--split", split, *extra]) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        roc = study["roc"][split]
+        assert [outputs[0][k] for k in ("auc", "auc_ci_low", "auc_ci_high")] == [
+            roc["auc"], roc["auc_ci_low"], roc["auc_ci_high"]]
+        if split == "validation":
+            assert outputs[0]["calibration"] == study["calibration"]
+
+
+def test_evaluate_explicit_seed_overrides_the_model(corpus_csv, tmp_path, capsys):
+    import gamiscreen as g
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", str(corpus_csv), "--seed", "7", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--dataset", str(corpus_csv),
+                 "--split", "validation", "--seed", "8"]) == 0
+    evaluated = json.loads(capsys.readouterr().out)
+    ds = g.ingest(corpus_csv)
+    by_id = {r.id: r for r in ds.records}
+    records = [by_id[i] for i in g.split(ds, 8).validation_ids]
+    roc = g.roc_auc([r.probability for r in g.score_records(g.load_model(model), records)],
+                    [r.gamification_label for r in records])
+    assert (evaluated["auc"], evaluated["auc_ci_low"]) == (roc.auc, roc.auc_ci_low)
+
+
+def test_evaluate_model_without_seed(corpus_csv, capsys):
+    bundled = str(resources.files("gamiscreen.data").joinpath("pretrained_model.json"))
+    argv = ["evaluate", "--model", bundled, "--dataset", str(corpus_csv)]
+    assert main(argv + ["--split", "validation"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert main(argv + ["--split", "validation", "--seed", "7"]) == 0
+    assert main(argv + ["--split", "all"]) == 0
+
+
+def test_model_file_with_byte_order_mark(corpus_csv, tmp_path, capsys):
+    model, bom = tmp_path / "model.json", tmp_path / "bom.json"
+    assert main(["train", "--dataset", str(corpus_csv), "--out", str(model)]) == 0
+    bom.write_bytes(b"\xef\xbb\xbf" + model.read_bytes())
+    capsys.readouterr()
+    outputs = []
+    for path in (model, bom):
+        assert main(["score", "--model", str(path), "--input", str(corpus_csv), "--explain"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_score_empty_input_prints_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("\n"))
     assert main(["score", "--explain"]) == 0
@@ -218,6 +276,7 @@ def _doc(obj) -> bytes:
 
 _MODEL_VARIABLE = {"name": "A", "coefficient": 1.0, "standard_error": 0.5}
 _BAD_KEYWORDS = ("Quiz", "two words", "")  # not casefolded, not one token, empty
+_BAD_SEEDS = ("7", True, 7.5)  # not integers, though `Random` accepts each
 
 
 @pytest.mark.parametrize("command, flag, content", [
@@ -249,6 +308,10 @@ _BAD_KEYWORDS = ("Quiz", "two words", "")  # not casefolded, not one token, empt
     ("train", "--lexicon", _doc({"keywords": ["quiz", "game"],
                                  "variables": [{"name": "A", "keywords": ["quiz"]},
                                                {"name": "A", "keywords": ["game"]}]})),
+    *[("evaluate", "--model", _doc({"format_version": 1, "intercept": -1.0,
+                                    "variables": [{**_MODEL_VARIABLE, "keywords": ["quiz"]}],
+                                    "training": {"seed": seed}}))
+      for seed in _BAD_SEEDS],
 ], ids=["model without variables", "model not an object", "lexicon without keywords",
         "study without records", "model not JSON", "lexicon not JSON", "study not JSON",
         "model not UTF-8", "lexicon keyword not a string",
@@ -256,7 +319,8 @@ _BAD_KEYWORDS = ("Quiz", "two words", "")  # not casefolded, not one token, empt
         "model variable keywords not a list",
         *[f"model variable keyword {k!r}" for k in _BAD_KEYWORDS],
         *[f"lexicon variable keyword {k!r}" for k in _BAD_KEYWORDS],
-        "model with duplicate variable names", "lexicon with duplicate variable names"])
+        "model with duplicate variable names", "lexicon with duplicate variable names",
+        *[f"model training seed {seed!r}" for seed in _BAD_SEEDS]])
 def test_malformed_json_file_is_input_error(corpus_csv, tmp_path, monkeypatch, capsys,
                                             command, flag, content):
     path = tmp_path / "file.json"
@@ -264,6 +328,8 @@ def test_malformed_json_file_is_input_error(corpus_csv, tmp_path, monkeypatch, c
     argv = [command, flag, str(path)]
     if command == "train":
         argv += ["--dataset", str(corpus_csv), "--out", str(tmp_path / "m.json")]
+    if command == "evaluate":
+        argv += ["--dataset", str(corpus_csv), "--split", "validation"]
     monkeypatch.setattr("sys.stdin", io.StringIO('{"description": "quiz"}\n'))
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -14,6 +15,8 @@ from gamiscreen.errors import (
     SingularMatrixError,
 )
 from gamiscreen.logit import (
+    SPLIT_GENERATOR,
+    FittedModel,
     contributions,
     fit_logistic,
     gradient,
@@ -27,7 +30,7 @@ from gamiscreen.logit import (
     probabilities,
     univariate_screen,
 )
-from gamiscreen.textfeatures import extract_features
+from gamiscreen.textfeatures import VariableGrouping, extract_features
 
 from conftest import synthetic_corpus
 
@@ -383,13 +386,26 @@ class TestSerialization:
         X = (rng.random((300, 2)) < 0.4).astype(float)
         y = (rng.random(300) < 0.3).astype(float)
         m = fit_logistic(X, y, names=("alpha", "beta"))
-        doc = model_to_dict(m, keyword_map={"alpha": ["play"], "beta": ["quiz"]},
-                            training={"seed": 5})
-        m2, grouping = model_from_dict(doc)
+        grouping = VariableGrouping((("alpha", frozenset({"play"})), ("beta", frozenset({"quiz"}))))
+        m = replace(m, grouping=grouping, seed=5)
+        m2 = model_from_dict(model_to_dict(m))
         np.testing.assert_allclose(m2.coefficients, m.coefficients)
         np.testing.assert_allclose(m2.standard_errors, m.standard_errors)
         assert m2.aic == pytest.approx(m.aic)
-        assert grouping is not None and grouping.names == ("alpha", "beta")
+        assert m2.grouping == grouping and m2.seed == 5
+
+    def test_training_block_follows_the_seed(self):
+        m = pretrained_model()
+        assert m.seed is None and m.grouping is pretrained_grouping()
+        assert model_to_dict(m)["training"]["generator"] is None
+        training = model_to_dict(replace(m, seed=7))["training"]
+        assert (training["seed"], training["generator"]) == (7, SPLIT_GENERATOR)
+
+    def test_grouping_must_name_the_features(self):
+        grouping = VariableGrouping((("beta", frozenset({"quiz"})), ("alpha", frozenset({"play"}))))
+        with pytest.raises(InputError, match="do not match"):
+            FittedModel(variable_names=("constant", "alpha", "beta"),
+                        coefficients=np.zeros(3), standard_errors=np.zeros(3), grouping=grouping)
 
     def test_derived_quantities_consistent(self):
         m = pretrained_model()

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -70,8 +71,10 @@ class TestIngest:
     def test_unknown_store(self, tmp_path):
         path = tmp_path / "in.csv"
         write_csv(path, [{"id": "a", "store": "symbian", "title": "", "description": ""}])
-        with pytest.raises(UnknownStoreError):
+        with pytest.raises(UnknownStoreError) as exc:
             ingest(path)
+        assert exc.value.row == 2 and exc.value.value == "symbian"
+        assert str(exc.value).startswith("row 2: unknown store: 'symbian'")
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -182,6 +185,41 @@ class TestIngest:
         with pytest.raises(ParseError, match="UTF-8"):
             ingest("-")
 
+    def test_byte_order_mark_accepted(self, monkeypatch, tmp_path):
+        rows = [{"id": "a", "store": "ios", "title": "Quiz", "description": "Ünïcode fun",
+                 "gamification_label": "1", "app_type": "", "language": ""}]
+        csv_path, json_path = tmp_path / "in.csv", tmp_path / "in.json"
+        write_csv(csv_path, rows)
+        json_path.write_text(json.dumps(rows, ensure_ascii=False), encoding="utf-8")
+        lines = json.dumps(rows[0], ensure_ascii=False).encode("utf-8") + b"\n"
+        for path in (csv_path, json_path):
+            plain = ingest(path).records
+            bom = tmp_path / f"bom-{path.name}"
+            bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            assert ingest(bom).records == plain
+        for raw in (lines, b"\xef\xbb\xbf" + lines):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+            assert ingest("-").records == plain
+
+    def test_dataset_file_is_reproducible(self, monkeypatch, tmp_path):
+        class Clock(datetime):
+            """A wall clock a day further on at every reading."""
+            ticks = 0
+
+            @classmethod
+            def now(cls, tz=None):
+                cls.ticks += 1
+                return datetime(2020, 1, cls.ticks, tzinfo=tz)
+
+        # Whatever clock the reader might consult moves on between the two runs.
+        monkeypatch.setattr("gamiscreen.pipeline.datetime", Clock, raising=False)
+        raw = tmp_path / "in.csv"
+        write_csv(raw, [{"id": "a", "store": "ios", "title": "T", "description": "quiz"}])
+        outs = [tmp_path / "one.json", tmp_path / "two.json"]
+        for out in outs:
+            save_dataset(ingest(raw), out)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_published_marginals_fixture(self):
         # corpus engineered to the published basic characteristics:
         # 1176 records, 625 android / 551 ios, 241 positive labels
@@ -240,13 +278,13 @@ class TestSplit:
 class TestRunStudy:
     def test_forced_roster_matches_grouping(self, small_corpus, grouping):
         report = run_study(small_corpus, seed=3)
-        assert report.selected_variables == grouping.names
         assert report.model.feature_names == grouping.names
+        assert report.model.grouping == grouping and report.model.seed == 3
 
     def test_strict_mode_subset(self, small_corpus, grouping):
         report = run_study(small_corpus, seed=3, selection="strict")
-        assert set(report.selected_variables) <= set(grouping.names)
-        assert len(report.selected_variables) >= 1
+        assert set(report.model.feature_names) <= set(grouping.names)
+        assert len(report.model.feature_names) >= 1
 
     @pytest.mark.parametrize("selection", ["forced", "strict"])
     def test_report_config_and_univariate_keys(self, small_corpus, selection):
@@ -344,50 +382,44 @@ class TestRunStudy:
 class TestScore:
     def test_contribution_decomposition(self, pretrained, small_corpus):
         import math
-        grouping = g.pretrained_grouping()
-        results = score_records(pretrained, grouping, small_corpus.records[:50])
+        results = score_records(pretrained, small_corpus.records[:50])
         for r in results:
             logit_p = math.log(r.probability / (1 - r.probability))
             assert abs(pretrained.intercept + sum(r.contributions.values()) - logit_p) < 1e-9
 
     def test_no_text_flag(self, pretrained):
-        grouping = g.pretrained_grouping()
         rec = AppRecord(id="e", store="ios", title="", description="")
-        r = score_records(pretrained, grouping, [rec])[0]
+        r = score_records(pretrained, [rec])[0]
         assert r.flags == ("no_text",)
         assert r.probability == pytest.approx(0.0546, abs=5e-4)
 
     def test_output_order(self, pretrained, small_corpus):
-        grouping = g.pretrained_grouping()
-        results = score_records(pretrained, grouping, small_corpus.records[:20])
+        results = score_records(pretrained, small_corpus.records[:20])
         assert [r.id for r in results] == [r.id for r in small_corpus.records[:20]]
 
     def test_keyword_sum_example(self, pretrained):
         import math
-        grouping = g.pretrained_grouping()
         rec = AppRecord(id="s", store="ios", title="",
                         description="Track your treatment diary and take our quiz")
-        r = score_records(pretrained, grouping, [rec])[0]
+        r = score_records(pretrained, [rec])[0]
         expected_logit = -2.85 + math.log(23.91) + math.log(14.53) + math.log(24.44)
         assert r.probability == pytest.approx(1 / (1 + math.exp(-expected_logit)), abs=1e-12)
         assert set(r.matched_keywords) == {"track", "diary", "quiz"}
 
     def test_mixed_sign_example(self, pretrained):
-        grouping = g.pretrained_grouping()
         rec = AppRecord(id="m", store="ios", title="", description="multiplayer team game")
-        r = score_records(pretrained, grouping, [rec])[0]
+        r = score_records(pretrained, [rec])[0]
         assert r.probability == pytest.approx(0.477, abs=1e-3)
 
     def test_no_records(self, pretrained):
-        assert score_records(pretrained, g.pretrained_grouping(), []) == []
+        assert score_records(pretrained, []) == []
 
     def test_per_pattern_table_matches_per_record(self, pretrained, small_corpus,
                                                    monkeypatch):
         calls = []
         monkeypatch.setattr("gamiscreen.pipeline.probabilities",
                             lambda model, X: calls.append(X.tolist()) or probabilities(model, X))
-        grouping = g.pretrained_grouping()
-        results = score_records(pretrained, grouping, small_corpus.records)
+        results = score_records(pretrained, small_corpus.records)
         # one `probabilities` call, on exactly the distinct patterns; the corpus repeats patterns
         assert len(calls) == 1
         assert sorted(map(tuple, calls[0])) == sorted({r.bits for r in results})
