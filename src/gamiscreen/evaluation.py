@@ -1,13 +1,15 @@
 """Discrimination, calibration, model comparison and agreement statistics.
 
-ROC curves work on per-distinct-score counts: one sort groups tied scores,
-and once the counts are taken every step is O(#distinct scores). The AUC is
-computed twice from those counts, by trapezoid and by tie-corrected pair
-counting, and a disagreement raises. The AUC confidence interval uses
-DeLong's nonparametric variance; its structural components are constant
-within a tie group, so it is a count-weighted variance over the groups (the
-single-sort form of Sun & Xu, 2014). Calibration strata are formed and
-merged on per-quartile counts.
+ROC curves and calibration strata work on a tie table: the distinct scores in
+ascending order with the positive and negative counts at each. Building it
+takes one sort of the scores and one of the positives' scores; every later
+step is O(#distinct scores). The AUC is computed twice from those counts, by
+trapezoid and by tie-corrected pair counting, and a disagreement raises. The
+AUC confidence interval uses DeLong's nonparametric variance; its structural
+components are constant within a tie group, so it is a count-weighted
+variance over the groups (the single-sort form of Sun & Xu, 2014).
+Calibration takes its quartile edges from the table's order statistics and
+forms and merges strata on per-quartile counts.
 """
 
 from __future__ import annotations
@@ -58,30 +60,44 @@ def _weighted_var(values: np.ndarray, weights: np.ndarray, total: int) -> float:
     return float(weights @ (values - mean) ** 2) / (total - 1)
 
 
-def roc_auc(scores, labels) -> RocCurve:
-    """ROC curve with trapezoidal AUC and a DeLong 95% CI.
+def _tie_table(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct scores ascending, with the positive and negative counts at each.
 
-    Scores with identical values are grouped at a single threshold, so
-    the curve is invariant to any strictly increasing score transform.
+    One sort of the scores groups the ties; one sort of the positives'
+    scores, searched at the distinct values, counts the positives per value.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InputError("scores and labels must be equal-length 1-d arrays")
-    if np.isnan(scores).any():
+    s = np.sort(scores)
+    if np.isnan(s[-1:]).any():  # NaN sorts last
         raise InputError("scores must not be NaN")
-    if not np.isin(labels, (0.0, 1.0)).all():
+    positive = labels == 1.0
+    if not (positive | (labels == 0.0)).all():
         raise InputError("labels must be binary (0/1)")
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
+    first = np.r_[True, s[1:] != s[:-1]]  # first record of each tie group
+    values = s[first]
+    count = np.diff(np.r_[np.flatnonzero(first), len(s)])
+    pos_at_or_below = np.searchsorted(np.sort(scores.compress(positive)), values, side="right")
+    pos = np.diff(pos_at_or_below, prepend=0)
+    return values, pos, count - pos
+
+
+def roc_auc(scores, labels) -> RocCurve:
+    """ROC curve with trapezoidal AUC and a DeLong 95% CI.
+
+    Scores with identical values are grouped at a single threshold, so
+    the curve is invariant to any strictly increasing score transform.
+    Any non-NaN score is accepted, ±inf included. Cost: one sort of the
+    scores and one of the positives' scores, then O(#distinct scores).
+    """
+    values, pos, neg = _tie_table(scores, labels)
+    n_pos = int(pos.sum())
+    n_neg = int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise OneClassError()
 
-    # The only sort of the scores: distinct values ascending, then the
-    # positive and negative counts at each value.
-    values, group = np.unique(scores, return_inverse=True)
-    pos = np.bincount(group, weights=labels, minlength=len(values))
-    neg = np.bincount(group, minlength=len(values)) - pos
     # Thresholds from the highest distinct score down; a record is called
     # positive when its score is at or above the threshold.
     tpr = np.r_[0.0, np.cumsum(pos[::-1]) / n_pos]
@@ -218,32 +234,47 @@ class CalibrationReport:
     merged: tuple[str, ...]  # labels of strata produced by merging quartiles
 
 
+def _quartile_edges(values: np.ndarray, n_at: np.ndarray) -> list[float]:
+    """np.quantile(x, [0.25, 0.5, 0.75]) of the records x a tie table counts.
+
+    The linear method interpolates between the order statistics x[k] and
+    x[k + 1], k = floor(h) for h = (n - 1) q, by h - k; the same call on
+    just those two values gives the same bits.
+    """
+    cum = np.cumsum(n_at)
+    h = (int(cum[-1]) - 1) * np.array([0.25, 0.5, 0.75])
+    k = np.floor(h)
+    x_k = values[np.searchsorted(cum, k, side="right")]
+    x_k1 = values[np.searchsorted(cum, k + 1, side="right")]
+    return [np.quantile((a, b), g) for a, b, g in zip(x_k, x_k1, h - k)]
+
+
 def calibration_strata(predicted, labels, min_positives: int = 5) -> CalibrationReport:
     """Observed vs mean predicted event rates per predicted-probability quartile.
 
     Records sharing a predicted value are never split across strata, and
     adjacent strata are merged while any stratum holds fewer than
-    `min_positives` positive labels.
+    `min_positives` positive labels. Predicted values must lie in [0, 1].
+    Cost: one sort of the predictions and one of the positives'
+    predictions, then O(#distinct predictions).
     """
-    predicted = np.asarray(predicted, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if predicted.shape != labels.shape or predicted.ndim != 1:
-        raise InputError("predicted and labels must be equal-length 1-d arrays")
-    if np.isnan(predicted).any():
-        raise InputError("predicted probabilities must not be NaN")
-    if not np.isin(labels, (0.0, 1.0)).all():
-        raise InputError("labels must be binary (0/1)")
-    n = len(predicted)
+    values, pos_at, neg_at = _tie_table(predicted, labels)
+    n_at = pos_at + neg_at
+    n = int(n_at.sum())
     if n < 4:
         raise TooFewRecordsError(f"need at least 4 records, got {n}")
+    if values[0] < 0.0 or values[-1] > 1.0:
+        raise InputError("predicted probabilities must lie in [0, 1]")
 
-    edges = np.quantile(predicted, [0.25, 0.5, 0.75])
-    # side='left': a value equal to an edge falls in the lower stratum, so
-    # tied values always land together.
-    bin_of = np.searchsorted(edges, predicted, side="left")
-    n_obs = np.bincount(bin_of, minlength=4)
-    n_pos = np.bincount(bin_of, weights=labels, minlength=4)
-    p_sum = np.bincount(bin_of, weights=predicted, minlength=4)
+    edges = _quartile_edges(values, n_at)
+    # One quartile per distinct value; side='left': a value equal to an edge
+    # falls in the lower stratum.
+    bin_of = np.searchsorted(edges, values, side="left")
+    n_obs = np.bincount(bin_of, weights=n_at, minlength=4)
+    n_pos = np.bincount(bin_of, weights=pos_at, minlength=4)
+    # Correctly rounded sums of value x count, so the mean does not drift with n.
+    mass = values * n_at
+    p_sum = [math.fsum(mass[bin_of == q]) for q in range(4)]
 
     def merge(a, b):
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
@@ -253,7 +284,7 @@ def calibration_strata(predicted, labels, min_positives: int = 5) -> Calibration
     # predecessor; Q1 is never empty, as edges[0] >= min(predicted).
     groups: list[tuple[list[int], int, float, float]] = []
     for q in range(4):
-        g = ([q], int(n_obs[q]), float(n_pos[q]), float(p_sum[q]))
+        g = ([q], int(n_obs[q]), float(n_pos[q]), p_sum[q])
         if g[1] == 0:
             groups[-1] = merge(groups[-1], g)
         else:

@@ -247,7 +247,6 @@ def split(dataset: Dataset, seed: int) -> SplitPlan:
 
 @dataclass
 class StudyReport:
-    seed: int
     selection: str
     dataset_summary: dict
     split_plan: SplitPlan
@@ -260,13 +259,13 @@ class StudyReport:
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.seed,
+            "seed": self.model.seed,
             "generator": SPLIT_GENERATOR,
             "config": {"selection": self.selection, "alpha": ALPHA,
                        "calibration_min_positives": CALIBRATION_MIN_POSITIVES},
             "dataset": self.dataset_summary,
             "split": {
-                "seed": self.seed,
+                "seed": self.model.seed,
                 "n_generation": len(self.split_plan.generation_ids),
                 "n_validation": len(self.split_plan.validation_ids),
             },
@@ -362,7 +361,6 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
     )
 
     return StudyReport(
-        seed=seed,
         selection=selection,
         dataset_summary=dataset.summary(),
         split_plan=plan,

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.special import expit
 from scipy.stats import rankdata
 
 from gamiscreen import evaluation
@@ -16,6 +17,7 @@ from gamiscreen.errors import (
 )
 from gamiscreen.evaluation import (
     Z95,
+    RocCurve,
     aic_compare,
     calibration_from_dict,
     calibration_strata,
@@ -114,6 +116,57 @@ def per_record_calibration(predicted, labels, n_strata=4, min_positives=5):
     return [(f"Q{qs[0] + 1}" if len(qs) == 1 else f"Q{qs[0] + 1}-Q{qs[-1] + 1}",
              int(m.sum()), int(labels[m].sum()), float(labels[m].mean()),
              float(predicted[m].mean())) for qs, m in groups]
+
+
+def unique_bincount_roc(scores, labels):
+    """Per-record reference: the np.unique + bincount grouping roc_auc had before its tie table."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    values, group = np.unique(scores, return_inverse=True)
+    pos = np.bincount(group, weights=labels, minlength=len(values))
+    neg = np.bincount(group, minlength=len(values)) - pos
+    tpr = np.r_[0.0, np.cumsum(pos[::-1]) / n_pos]
+    fpr = np.r_[0.0, np.cumsum(neg[::-1]) / n_neg]
+    auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
+    neg_below = np.cumsum(neg) - 0.5 * neg
+    pos_above = n_pos - np.cumsum(pos) + 0.5 * pos
+
+    def weighted_var(v, w, total):
+        if total < 2:
+            return 0.0
+        mean = (w @ v) / total
+        return float(w @ (v - mean) ** 2) / (total - 1)
+
+    var = (weighted_var(neg_below / n_neg, pos, n_pos) / n_pos
+           + weighted_var(pos_above / n_pos, neg, n_neg) / n_neg)
+    half = Z95 * math.sqrt(max(var, 0.0))
+    return RocCurve(points=tuple(zip(fpr.tolist(), tpr.tolist())),
+                    thresholds=(math.inf,) + tuple(values[::-1].tolist()),
+                    auc=auc, auc_ci_low=max(0.0, auc - half), auc_ci_high=min(1.0, auc + half),
+                    n_pos=n_pos, n_neg=n_neg)
+
+
+@st.composite
+def tied_pairs(draw, pool, min_size):
+    """(scores, labels) drawing every score from 1-4 distinct values of `pool`."""
+    values = draw(st.lists(pool, min_size=1, max_size=4))
+    n = draw(st.integers(min_size, 60))
+    scores = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return scores, labels
+
+
+# ±inf and both signed zeros among rounded values: ROC accepts any non-NaN score.
+ROC_SCORES = st.one_of(st.sampled_from([-math.inf, -0.0, 0.0, math.inf]),
+                       st.floats(-3, 3).map(lambda x: round(x, 1)))
+PROBABILITIES = st.one_of(st.integers(0, 20).map(lambda i: i / 20),
+                          st.integers(0, 1000).map(lambda i: i / 1000))
+
+
+def two_classes(labels):
+    return 0 < sum(labels) < len(labels)
 
 
 class TestRoc:
@@ -256,6 +309,30 @@ class TestDeLong:
         assert roc.auc_ci_low == roc.auc_ci_high == 1.0
 
 
+class TestTieTableRoc:
+    @settings(max_examples=150)
+    @given(tied_pairs(ROC_SCORES, min_size=2))
+    def test_equals_unique_bincount_reference(self, data):
+        scores, labels = data
+        assume(two_classes(labels))
+        assert roc_auc(scores, labels) == unique_bincount_roc(scores, labels)
+
+    def test_equals_unique_bincount_reference_n4_single_value(self):
+        for scores in ([0.3] * 4, [math.inf] * 4, [-0.0, 0.0, 0.0, -0.0]):
+            labels = [0, 1, 1, 0]
+            assert roc_auc(scores, labels) == unique_bincount_roc(scores, labels)
+
+    @settings(max_examples=80)
+    @given(tied_pairs(ROC_SCORES, min_size=2), st.integers(2, 5))
+    def test_replication_invariance(self, data, k):
+        scores, labels = data
+        assume(two_classes(labels))
+        base = roc_auc(scores, labels)
+        rep = roc_auc(np.repeat(scores, k), np.repeat(labels, k))
+        assert (rep.auc, rep.points, rep.thresholds) == (base.auc, base.points, base.thresholds)
+        assert (rep.n_pos, rep.n_neg) == (k * base.n_pos, k * base.n_neg)
+
+
 class TestAicCompare:
     def _fit_pair(self, cols):
         rng = np.random.default_rng(4)
@@ -386,6 +463,67 @@ class TestCalibration:
         rng = np.random.default_rng(11)
         predicted = rng.integers(1, 3000, 200_000) / 3000.0
         self._check_reference(predicted, (rng.random(200_000) < predicted).astype(float), 5)
+
+    @settings(max_examples=150)
+    @given(tied_pairs(PROBABILITIES, min_size=4), st.sampled_from([1, 5]))
+    def test_matches_per_record_reference_few_values(self, data, min_positives):
+        scores, labels = data
+        self._check_reference(np.array(scores), np.array(labels, dtype=float), min_positives)
+
+    @settings(max_examples=150)
+    @given(tied_pairs(PROBABILITIES, min_size=4))
+    def test_quartile_edges_bit_identical_to_np_quantile(self, data):
+        scores, labels = data
+        table = evaluation._tie_table(scores, labels)
+        edges = np.array(evaluation._quartile_edges(table[0], table[1] + table[2]))
+        assert edges.tobytes() == np.quantile(scores, [0.25, 0.5, 0.75]).tobytes()
+
+    def test_single_value_n4(self):
+        report = calibration_strata([0.7] * 4, [1, 0, 1, 1], min_positives=1)
+        assert [(s.label, s.n_obs, s.n_pos) for s in report.strata] == [("Q1-Q4", 4, 3)]
+        assert report.strata[0].mean_predicted == 0.7
+
+    @settings(max_examples=80)
+    @given(tied_pairs(PROBABILITIES, min_size=4), st.integers(2, 4))
+    def test_replication_invariance(self, data, k):
+        # np.quantile's linear quartiles keep their order statistics under
+        # replication only when n is a multiple of 4 (at n = 6 and k = 2 the
+        # third edge takes in one more distinct value); min_positives=1
+        # merges a stratum exactly when it has no positives, at any k.
+        scores, labels = data
+        n = len(scores) // 4 * 4
+        scores, labels = scores[:n], np.array(labels[:n], dtype=float)
+        base = calibration_strata(scores, labels, min_positives=1)
+        rep = calibration_strata(np.repeat(scores, k), np.repeat(labels, k), min_positives=1)
+        assert rep.merged == base.merged
+        assert [(s.label, s.n_obs, s.n_pos, s.observed_rate) for s in rep.strata] == [
+            (s.label, k * s.n_obs, k * s.n_pos, s.observed_rate) for s in base.strata]
+        for s, r in zip(base.strata, rep.strata):
+            assert r.mean_predicted == pytest.approx(s.mean_predicted, rel=1e-15)
+
+    def test_mean_predicted_correctly_rounded_at_1m(self):
+        rng = np.random.default_rng(13)
+        n = 1_000_000
+        predicted = expit(rng.normal(-1.0, 1.5, 4000))[rng.integers(0, 4000, n)]
+        labels = (rng.random(n) < predicted).astype(float)
+        report = calibration_strata(predicted, labels)
+        quartile = np.searchsorted(np.quantile(predicted, [0.25, 0.5, 0.75]), predicted,
+                                   side="left")
+        assert sum(s.n_obs for s in report.strata) == n
+        for s in report.strata:
+            qs = [int(q[1:]) - 1 for q in s.label.split("-")]
+            members = predicted[(quartile >= qs[0]) & (quartile <= qs[-1])]
+            exact = math.fsum(members.tolist()) / len(members)
+            assert abs(s.mean_predicted - exact) <= 1e-15 * exact, s.label
+
+    def test_out_of_range_rejected(self):
+        labels = [0, 1, 0, 1, 1, 0]
+        for predicted in ([-3.0, 0.2, 0.3, 0.5, 0.6, 7.0], [0.1, 0.2, 0.3, 0.5, 0.6, math.inf],
+                          [-math.inf, 0.2, 0.3, 0.5, 0.6, 0.9], [0.1, 0.2, 0.3, 0.5, 0.6, 1.5]):
+            with pytest.raises(InputError, match=r"\[0, 1\]"):
+                calibration_strata(predicted, labels)
+        report = calibration_strata([0.0, 0.2, 0.3, 0.5, 0.6, 1.0], labels, min_positives=1)
+        assert sum(s.n_obs for s in report.strata) == 6
 
     def _check_reference(self, predicted, labels, min_positives):
         report = calibration_strata(predicted, labels, min_positives=min_positives)
