@@ -107,7 +107,8 @@ def _cmd_evaluate(args) -> int:
         if seed is None:
             raise InputError("model records no split seed; give --seed to evaluate the "
                              f"{args.split} group")
-        # In plan order, as `run_study` sums them, so the numbers equal the report's.
+        # The group's records; ROC and calibration depend only on the multiset of
+        # (probability, label) pairs, so the numbers equal the report's.
         by_id = {r.id: r for r in labeled}
         labeled = [by_id[i] for i in getattr(pipeline.split(ds, seed), f"{args.split}_ids")]
     results = score_records(model, labeled)

@@ -8,8 +8,9 @@ trapezoid and by tie-corrected pair counting, and a disagreement raises. The
 AUC confidence interval uses DeLong's nonparametric variance; its structural
 components are constant within a tie group, so it is a count-weighted
 variance over the groups (the single-sort form of Sun & Xu, 2014).
-Calibration takes its quartile edges from the table's order statistics and
-forms and merges strata on per-quartile counts.
+Calibration cuts the table at its inverted-CDF quartiles by counting, so a
+stratum is a slice of the table: its counts are differences of cumulative
+counts and its mean one correctly rounded sum over the slice.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
 )
 
 Z95 = 1.96  # two-sided 95% normal multiplier (DeLong, Wald and kappa intervals)
+CALIBRATION_MIN_POSITIVES = 5  # calibration merges strata with fewer positives
 
 
 # ---------------------------------------------------------------------------
@@ -234,84 +236,60 @@ class CalibrationReport:
     merged: tuple[str, ...]  # labels of strata produced by merging quartiles
 
 
-def _quartile_edges(values: np.ndarray, n_at: np.ndarray) -> list[float]:
-    """np.quantile(x, [0.25, 0.5, 0.75]) of the records x a tie table counts.
-
-    The linear method interpolates between the order statistics x[k] and
-    x[k + 1], k = floor(h) for h = (n - 1) q, by h - k; the same call on
-    just those two values gives the same bits.
-    """
-    cum = np.cumsum(n_at)
-    h = (int(cum[-1]) - 1) * np.array([0.25, 0.5, 0.75])
-    k = np.floor(h)
-    x_k = values[np.searchsorted(cum, k, side="right")]
-    x_k1 = values[np.searchsorted(cum, k + 1, side="right")]
-    return [np.quantile((a, b), g) for a, b, g in zip(x_k, x_k1, h - k)]
-
-
-def calibration_strata(predicted, labels, min_positives: int = 5) -> CalibrationReport:
+def calibration_strata(predicted, labels,
+                       min_positives: int = CALIBRATION_MIN_POSITIVES) -> CalibrationReport:
     """Observed vs mean predicted event rates per predicted-probability quartile.
 
-    Records sharing a predicted value are never split across strata, and
-    adjacent strata are merged while any stratum holds fewer than
-    `min_positives` positive labels. Predicted values must lie in [0, 1].
-    Cost: one sort of the predictions and one of the positives'
+    A distinct predicted value is in quartile k + 1 when at least k/4 of the
+    records lie strictly below it (the inverted-CDF quartiles, Hyndman & Fan
+    type 1), so records sharing a value are never split and the strata do
+    not move when every record is repeated. An empty quartile folds into its
+    predecessor, and adjacent strata are merged while any stratum holds
+    fewer than `min_positives` positive labels. Predicted values must lie
+    in [0, 1]. Cost: one sort of the predictions and one of the positives'
     predictions, then O(#distinct predictions).
     """
     values, pos_at, neg_at = _tie_table(predicted, labels)
     n_at = pos_at + neg_at
-    n = int(n_at.sum())
+    cum = np.r_[0, np.cumsum(n_at)]  # cum[j]: records strictly below values[j]
+    cum_pos = np.r_[0, np.cumsum(pos_at)]
+    n = int(cum[-1])
     if n < 4:
         raise TooFewRecordsError(f"need at least 4 records, got {n}")
     if values[0] < 0.0 or values[-1] > 1.0:
         raise InputError("predicted probabilities must lie in [0, 1]")
 
-    edges = _quartile_edges(values, n_at)
-    # One quartile per distinct value; side='left': a value equal to an edge
-    # falls in the lower stratum.
-    bin_of = np.searchsorted(edges, values, side="left")
-    n_obs = np.bincount(bin_of, weights=n_at, minlength=4)
-    n_pos = np.bincount(bin_of, weights=pos_at, minlength=4)
-    # Correctly rounded sums of value x count, so the mean does not drift with n.
-    mass = values * n_at
-    p_sum = [math.fsum(mass[bin_of == q]) for q in range(4)]
+    # Quartile q covers values[cut[q]:cut[q + 1]]; Q1 is never empty.
+    cut = np.r_[0, np.searchsorted(4 * cum, [n, 2 * n, 3 * n]), len(values)].tolist()
+    # Stratum i is quartiles bounds[i] to bounds[i + 1] - 1. An empty quartile
+    # (its ties fell into a lower one) joins the stratum before it.
+    bounds = [q for q in range(4) if cut[q] < cut[q + 1]] + [4]
 
-    def merge(a, b):
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-    # (quartile indices, n_obs, n_pos, sum of predicted) per stratum. An
-    # empty quartile (its ties fell into a lower one) folds into its
-    # predecessor; Q1 is never empty, as edges[0] >= min(predicted).
-    groups: list[tuple[list[int], int, float, float]] = []
-    for q in range(4):
-        g = ([q], int(n_obs[q]), float(n_pos[q]), p_sum[q])
-        if g[1] == 0:
-            groups[-1] = merge(groups[-1], g)
-        else:
-            groups.append(g)
+    def positives(i):
+        return int(cum_pos[cut[bounds[i + 1]]] - cum_pos[cut[bounds[i]]])
 
     # Merge low-event strata forward (into the next stratum; backward for the last).
-    while len(groups) > 1:
-        low = next((i for i, g in enumerate(groups) if g[2] < min_positives), None)
+    while len(bounds) > 2:
+        low = next((i for i in range(len(bounds) - 1) if positives(i) < min_positives), None)
         if low is None:
             break
-        a = low if low + 1 < len(groups) else low - 1
-        groups[a:a + 2] = [merge(groups[a], groups[a + 1])]
+        del bounds[min(low + 1, len(bounds) - 2)]
 
+    # Correctly rounded sums of value x count, so the mean does not drift with n.
+    mass = (values * n_at).tolist()
     strata = []
-    merged = []
-    for qs, count, pos, p_total in groups:
-        label = f"Q{qs[0] + 1}" if len(qs) == 1 else f"Q{qs[0] + 1}-Q{qs[-1] + 1}"
+    for i, (first, end) in enumerate(zip(bounds, bounds[1:])):
+        lo, hi = cut[first], cut[end]
+        count, pos = int(cum[hi] - cum[lo]), positives(i)
         strata.append(Stratum(
-            label=label,
+            label=f"Q{first + 1}" if end == first + 1 else f"Q{first + 1}-Q{end}",
             n_obs=count,
-            n_pos=int(pos),
+            n_pos=pos,
             observed_rate=pos / count,
-            mean_predicted=p_total / count,
+            mean_predicted=math.fsum(mass[lo:hi]) / count,
         ))
-        if len(qs) > 1:
-            merged.append(label)
-    return CalibrationReport(strata=tuple(strata), merged=tuple(merged))
+    merged = tuple(s.label for s in strata if "-" in s.label)
+    return CalibrationReport(strata=tuple(strata), merged=merged)
 
 
 def calibration_text(report: CalibrationReport) -> str:

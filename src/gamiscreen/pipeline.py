@@ -27,7 +27,13 @@ from .errors import (
     TooFewRecordsError,
     UnknownStoreError,
 )
-from .evaluation import CalibrationReport, calibration_strata, calibration_to_dict, roc_auc
+from .evaluation import (
+    CALIBRATION_MIN_POSITIVES,
+    CalibrationReport,
+    calibration_strata,
+    calibration_to_dict,
+    roc_auc,
+)
 from .logit import (
     SPLIT_GENERATOR,
     FittedModel,
@@ -48,7 +54,6 @@ from .textfeatures import (
 )
 
 ALPHA = 0.05                     # strict selection keeps univariate p < ALPHA
-CALIBRATION_MIN_POSITIVES = 5    # calibration merges strata with fewer positives
 
 REQUIRED_COLUMNS = ("id", "store", "title", "description")
 

@@ -89,7 +89,8 @@ def per_record_calibration(predicted, labels, n_strata=4, min_positives=5):
     """Per-record reference: strata as boolean masks over the records."""
     predicted = np.asarray(predicted, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    edges = np.quantile(predicted, [k / n_strata for k in range(1, n_strata)])
+    edges = np.quantile(predicted, [k / n_strata for k in range(1, n_strata)],
+                        method="inverted_cdf")
     bin_of = np.searchsorted(edges, predicted, side="left")
     groups = []  # (quartile indices, member mask)
     for q in range(n_strata):
@@ -116,6 +117,15 @@ def per_record_calibration(predicted, labels, n_strata=4, min_positives=5):
     return [(f"Q{qs[0] + 1}" if len(qs) == 1 else f"Q{qs[0] + 1}-Q{qs[-1] + 1}",
              int(m.sum()), int(labels[m].sum()), float(labels[m].mean()),
              float(predicted[m].mean())) for qs, m in groups]
+
+
+def inverted_cdf_quartile(predicted):
+    """Per-record reference: each record's quartile, 0-3, at the inverted-CDF edges.
+
+    A record equal to an edge falls in the lower quartile.
+    """
+    edges = np.quantile(predicted, [0.25, 0.5, 0.75], method="inverted_cdf")
+    return np.searchsorted(edges, predicted, side="left")
 
 
 def unique_bincount_roc(scores, labels):
@@ -333,6 +343,20 @@ class TestTieTableRoc:
         assert (rep.n_pos, rep.n_neg) == (k * base.n_pos, k * base.n_neg)
 
 
+class TestOrderInvariance:
+    @settings(max_examples=150)
+    @given(tied_pairs(PROBABILITIES, min_size=4), st.data())
+    def test_roc_and_calibration_depend_only_on_the_pairs(self, pairs, data):
+        scores, labels = pairs
+        assume(two_classes(labels))
+        order = data.draw(st.permutations(range(len(scores))))
+        shuffled = [scores[i] for i in order], [labels[i] for i in order]
+        assert roc_auc(*shuffled) == roc_auc(scores, labels)
+        for min_positives in (1, 5):
+            assert (calibration_strata(*shuffled, min_positives=min_positives)
+                    == calibration_strata(scores, labels, min_positives=min_positives))
+
+
 class TestAicCompare:
     def _fit_pair(self, cols):
         rng = np.random.default_rng(4)
@@ -470,14 +494,6 @@ class TestCalibration:
         scores, labels = data
         self._check_reference(np.array(scores), np.array(labels, dtype=float), min_positives)
 
-    @settings(max_examples=150)
-    @given(tied_pairs(PROBABILITIES, min_size=4))
-    def test_quartile_edges_bit_identical_to_np_quantile(self, data):
-        scores, labels = data
-        table = evaluation._tie_table(scores, labels)
-        edges = np.array(evaluation._quartile_edges(table[0], table[1] + table[2]))
-        assert edges.tobytes() == np.quantile(scores, [0.25, 0.5, 0.75]).tobytes()
-
     def test_single_value_n4(self):
         report = calibration_strata([0.7] * 4, [1, 0, 1, 1], min_positives=1)
         assert [(s.label, s.n_obs, s.n_pos) for s in report.strata] == [("Q1-Q4", 4, 3)]
@@ -486,13 +502,8 @@ class TestCalibration:
     @settings(max_examples=80)
     @given(tied_pairs(PROBABILITIES, min_size=4), st.integers(2, 4))
     def test_replication_invariance(self, data, k):
-        # np.quantile's linear quartiles keep their order statistics under
-        # replication only when n is a multiple of 4 (at n = 6 and k = 2 the
-        # third edge takes in one more distinct value); min_positives=1
-        # merges a stratum exactly when it has no positives, at any k.
+        # min_positives=1 merges a stratum exactly when it has no positives, at any k.
         scores, labels = data
-        n = len(scores) // 4 * 4
-        scores, labels = scores[:n], np.array(labels[:n], dtype=float)
         base = calibration_strata(scores, labels, min_positives=1)
         rep = calibration_strata(np.repeat(scores, k), np.repeat(labels, k), min_positives=1)
         assert rep.merged == base.merged
@@ -501,14 +512,45 @@ class TestCalibration:
         for s, r in zip(base.strata, rep.strata):
             assert r.mean_predicted == pytest.approx(s.mean_predicted, rel=1e-15)
 
+    def test_replication_invariance_n6(self):
+        # 0, 0.1, ..., 0.5: Q3 starts at 0.3 (3 of 6 below it) and Q4 at 0.5
+        # (5 of 6 below it), for one copy and for two.
+        predicted = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+        for k in (1, 2):
+            report = calibration_strata(np.repeat(predicted, k), [1] * (6 * k), min_positives=1)
+            assert [(s.label, s.n_obs) for s in report.strata] == [
+                ("Q1", 2 * k), ("Q2", k), ("Q3", 2 * k), ("Q4", k)]
+            assert report.merged == ()
+
+    def test_merged_mean_predicted_correctly_rounded(self):
+        predicted = [0.53, 0.21, 0.74, 0.39, 0.38, 0.91, 0.39, 0.35, 0.35, 0.48, 0.09, 0.55,
+                     0.92]
+        labels = [1.0 if p in (0.35, 0.09) else 0.0 for p in predicted]
+        report = calibration_strata(predicted, labels, min_positives=2)
+        assert [(s.label, s.n_obs, s.n_pos) for s in report.strata] == [("Q1-Q4", 13, 3)]
+        assert report.strata[0].mean_predicted == math.fsum(predicted) / 13
+        assert report.strata[0].mean_predicted == 0.48384615384615387
+
+    @settings(max_examples=150)
+    @given(tied_pairs(PROBABILITIES, min_size=4), st.sampled_from([1, 5]))
+    def test_mean_predicted_is_fsum_over_members(self, data, min_positives):
+        scores, labels = data
+        predicted = np.array(scores)
+        report = calibration_strata(predicted, labels, min_positives=min_positives)
+        quartile = inverted_cdf_quartile(predicted)
+        for s in report.strata:
+            qs = [int(q[1:]) - 1 for q in s.label.split("-")]
+            values, counts = np.unique(predicted[(quartile >= qs[0]) & (quartile <= qs[-1])],
+                                       return_counts=True)
+            assert s.mean_predicted == math.fsum((values * counts).tolist()) / s.n_obs
+
     def test_mean_predicted_correctly_rounded_at_1m(self):
         rng = np.random.default_rng(13)
         n = 1_000_000
         predicted = expit(rng.normal(-1.0, 1.5, 4000))[rng.integers(0, 4000, n)]
         labels = (rng.random(n) < predicted).astype(float)
         report = calibration_strata(predicted, labels)
-        quartile = np.searchsorted(np.quantile(predicted, [0.25, 0.5, 0.75]), predicted,
-                                   side="left")
+        quartile = inverted_cdf_quartile(predicted)
         assert sum(s.n_obs for s in report.strata) == n
         for s in report.strata:
             qs = [int(q[1:]) - 1 for q in s.label.split("-")]
