@@ -150,15 +150,16 @@ def _cmd_report(args) -> int:
             with open(args.roc_csv, "w", encoding="utf-8") as fh:
                 fh.write(roc_csv(roc))
     if args.table:
-        roc_info = study["roc"]
-        print(f"records: {study['dataset']['n_records']}  "
-              f"labeled: {study['dataset']['n_labeled']}  "
-              f"positive: {study['dataset']['n_positive']}")
-        for group in ("generation", "validation"):
-            r = roc_info[group]
-            print(f"AUC ({group}): {r['auc']:.3f} "
-                  f"(95% CI {r['auc_ci_low']:.3f}-{r['auc_ci_high']:.3f})")
-        print(calibration_text(calibration_from_dict(study["calibration"])), end="")
+        counts = require_fields(study["dataset"], "study dataset", n_records=int,
+                                n_labeled=int, n_positive=int)
+        aucs = {g: require_fields(study["roc"].get(g), f"study {g} ROC", auc=(int, float),
+                                  auc_ci_low=(int, float), auc_ci_high=(int, float))
+                for g in ("generation", "validation")}
+        calibration = calibration_from_dict(study["calibration"])
+        print("records: {n_records}  labeled: {n_labeled}  positive: {n_positive}".format(**counts))
+        for g, r in aucs.items():
+            print(f"AUC ({g}): {r['auc']:.3f} (95% CI {r['auc_ci_low']:.3f}-{r['auc_ci_high']:.3f})")
+        print(calibration_text(calibration), end="")
     return EXIT_OK
 
 

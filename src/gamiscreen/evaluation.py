@@ -1,16 +1,16 @@
 """Discrimination, calibration, model comparison and agreement statistics.
 
-ROC curves and calibration strata work on a tie table: the distinct scores in
-ascending order with the positive and negative counts at each. Building it
-takes one sort of the scores and one of the positives' scores; every later
-step is O(#distinct scores). The AUC is computed twice from those counts, by
-trapezoid and by tie-corrected pair counting, and a disagreement raises. The
-AUC confidence interval uses DeLong's nonparametric variance; its structural
-components are constant within a tie group, so it is a count-weighted
-variance over the groups (the single-sort form of Sun & Xu, 2014).
-Calibration cuts the table at its inverted-CDF quartiles by counting, so a
-stratum is a slice of the table: its counts are differences of cumulative
-counts and its mean one correctly rounded sum over the slice.
+`tally` gives the fit and its evaluation their sufficient statistics: the
+distinct keys ascending with the records and positives at each, from one
+sort of the keys and one of the positives' keys. The logistic fit tallies
+its 0/1 rows; ROC and calibration tally the scores into a tie table, and
+every later step is O(#distinct scores). The AUC is computed twice from
+those counts, by trapezoid and by tie-corrected pair counting, and a
+disagreement raises. The DeLong variance of its CI is weighted by count over
+the tie groups, within which the structural components are constant (the
+single-sort form of Sun & Xu, 2014). Calibration cuts the table at its
+inverted-CDF quartiles by counting: a stratum is a slice of the table, its
+counts differences of cumulative counts, its mean one correctly rounded sum.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (
     InputError,
     OneClassError,
     TooFewRecordsError,
+    require_fields,
 )
 
 Z95 = 1.96  # two-sided 95% normal multiplier (DeLong, Wald and kappa intervals)
@@ -62,27 +63,25 @@ def _weighted_var(values: np.ndarray, weights: np.ndarray, total: int) -> float:
     return float(weights @ (values - mean) ** 2) / (total - 1)
 
 
-def _tie_table(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct scores ascending, with the positive and negative counts at each.
+def tally(keys, positive) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct `keys` ascending, with the number of records and of `positive` ones at each."""
+    values, count = np.unique(keys, return_counts=True)
+    pos_at_or_below = np.searchsorted(np.sort(keys.compress(positive)), values, side="right")
+    return values, count, np.diff(pos_at_or_below, prepend=0)
 
-    One sort of the scores groups the ties; one sort of the positives'
-    scores, searched at the distinct values, counts the positives per value.
-    """
+
+def _tie_table(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scores' `tally`: distinct scores ascending, with the positives and negatives at each."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InputError("scores and labels must be equal-length 1-d arrays")
-    s = np.sort(scores)
-    if np.isnan(s[-1:]).any():  # NaN sorts last
-        raise InputError("scores must not be NaN")
     positive = labels == 1.0
     if not (positive | (labels == 0.0)).all():
         raise InputError("labels must be binary (0/1)")
-    first = np.r_[True, s[1:] != s[:-1]]  # first record of each tie group
-    values = s[first]
-    count = np.diff(np.r_[np.flatnonzero(first), len(s)])
-    pos_at_or_below = np.searchsorted(np.sort(scores.compress(positive)), values, side="right")
-    pos = np.diff(pos_at_or_below, prepend=0)
+    values, count, pos = tally(scores, positive)
+    if np.isnan(values[-1:]).any():  # NaN sorts last
+        raise InputError("scores must not be NaN")
     return values, pos, count - pos
 
 
@@ -310,12 +309,14 @@ def calibration_to_dict(report: CalibrationReport) -> dict:
     }
 
 
-def calibration_from_dict(doc: dict) -> CalibrationReport:
-    """Inverse of `calibration_to_dict`."""
-    return CalibrationReport(
-        strata=tuple(Stratum(**s) for s in doc["strata"]),
-        merged=tuple(doc["merged"]),
-    )
+def calibration_from_dict(doc) -> CalibrationReport:
+    """Inverse of `calibration_to_dict`; a malformed `doc` raises InputError."""
+    strata = require_fields(doc, "calibration", strata=list, merged=list[str])["strata"]
+    fields = dict(label=str, n_obs=int, n_pos=int, observed_rate=(int, float),
+                  mean_predicted=(int, float))
+    strata = [require_fields(s, "calibration stratum", **fields) for s in strata]
+    return CalibrationReport(strata=tuple(Stratum(**{f: s[f] for f in fields}) for s in strata),
+                             merged=tuple(doc["merged"]))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .errors import (
     read_json,
     require_fields,
 )
-from .evaluation import Z95
+from .evaluation import Z95, tally
 from .textfeatures import VariableGrouping
 
 INTERCEPT_NAME = "constant"
@@ -158,13 +158,11 @@ def fit_logistic(X, y, names=None) -> FittedModel:
         if col_sums[j] == 0 or col_sums[j] == n:
             raise DegenerateColumnError(names[j])
 
-    # A record enters the likelihood only through its 0/1 row, so the fit runs over
-    # distinct rows and their counts; the intercept makes each row at least 1 byte.
-    Xd = np.column_stack([np.ones(n), X])
-    keys = np.ascontiguousarray(Xd, dtype=np.uint8).view(np.dtype((np.void, p + 1))).ravel()
-    _, first, inverse, trials = np.unique(keys, return_index=True, return_inverse=True,
-                                          return_counts=True)
-    Xd, events = Xd[first], np.bincount(inverse, weights=y)
+    # A record enters the likelihood only through its 0/1 row, so the fit runs over the
+    # `tally` of the rows' bytes as void keys (the intercept makes each at least 1 byte).
+    bits = np.ascontiguousarray(np.column_stack([np.ones(n), X]), dtype=np.uint8)
+    rows, trials, events = tally(bits.view(np.dtype((np.void, p + 1))).ravel(), y == 1.0)
+    Xd = rows.view(np.uint8).reshape(-1, p + 1).astype(float)
     all_names = (INTERCEPT_NAME,) + names
 
     beta = np.zeros(p + 1)

@@ -277,6 +277,25 @@ def _doc(obj) -> bytes:
 _MODEL_VARIABLE = {"name": "A", "coefficient": 1.0, "standard_error": 0.5}
 _BAD_KEYWORDS = ("Quiz", "two words", "")  # not casefolded, not one token, empty
 _BAD_SEEDS = ("7", True, 7.5)  # not integers, though `Random` accepts each
+_STUDY_DATASET = {"n_records": 4, "n_labeled": 4, "n_positive": 2}
+_STUDY_AUC = {"auc": 0.75, "auc_ci_low": 0.5, "auc_ci_high": 1.0}
+
+
+def _study(**parts) -> bytes:
+    """A study report that `report --table` can print, with `parts` replaced."""
+    return _doc({"records": [], "dataset": _STUDY_DATASET,
+                 "roc": {"generation": _STUDY_AUC, "validation": _STUDY_AUC},
+                 "calibration": {"strata": [], "merged": []}, **parts})
+
+
+def test_report_table_prints_a_minimal_study(tmp_path, capsys):
+    path = tmp_path / "study.json"
+    path.write_bytes(_study())
+    assert main(["report", "--study", str(path), "--table"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "records: 4  labeled: 4  positive: 2",
+        "AUC (generation): 0.750 (95% CI 0.500-1.000)",
+        "AUC (validation): 0.750 (95% CI 0.500-1.000)"]
 
 
 @pytest.mark.parametrize("command, flag, content", [
@@ -312,6 +331,14 @@ _BAD_SEEDS = ("7", True, 7.5)  # not integers, though `Random` accepts each
                                     "variables": [{**_MODEL_VARIABLE, "keywords": ["quiz"]}],
                                     "training": {"seed": seed}}))
       for seed in _BAD_SEEDS],
+    ("report", "--study", _doc({"records": [], "dataset": {}, "roc": {}, "calibration": {}})),
+    ("report", "--study", _study(dataset={**_STUDY_DATASET, "n_positive": None})),
+    ("report", "--study", _study(roc={"generation": _STUDY_AUC})),
+    ("report", "--study", _study(roc={"generation": _STUDY_AUC,
+                                      "validation": {**_STUDY_AUC, "auc_ci_high": "1"}})),
+    ("report", "--study", _study(calibration={"strata": []})),
+    ("report", "--study", _study(calibration={"strata": [{"label": "Q1"}], "merged": []})),
+    ("report", "--study", _study(calibration={"strata": ["Q1"], "merged": []})),
 ], ids=["model without variables", "model not an object", "lexicon without keywords",
         "study without records", "model not JSON", "lexicon not JSON", "study not JSON",
         "model not UTF-8", "lexicon keyword not a string",
@@ -320,16 +347,24 @@ _BAD_SEEDS = ("7", True, 7.5)  # not integers, though `Random` accepts each
         *[f"model variable keyword {k!r}" for k in _BAD_KEYWORDS],
         *[f"lexicon variable keyword {k!r}" for k in _BAD_KEYWORDS],
         "model with duplicate variable names", "lexicon with duplicate variable names",
-        *[f"model training seed {seed!r}" for seed in _BAD_SEEDS]])
+        *[f"model training seed {seed!r}" for seed in _BAD_SEEDS],
+        "study dataset without counts", "study dataset count null",
+        "study without validation ROC", "study AUC bound not a number",
+        "study calibration without merged", "study stratum without counts",
+        "study stratum not an object"])
 def test_malformed_json_file_is_input_error(corpus_csv, tmp_path, monkeypatch, capsys,
                                             command, flag, content):
     path = tmp_path / "file.json"
     path.write_bytes(content)
     argv = [command, flag, str(path)]
+    if command == "report":
+        argv.append("--table")
     if command == "train":
         argv += ["--dataset", str(corpus_csv), "--out", str(tmp_path / "m.json")]
     if command == "evaluate":
         argv += ["--dataset", str(corpus_csv), "--split", "validation"]
     monkeypatch.setattr("sys.stdin", io.StringIO('{"description": "quiz"}\n'))
     assert main(argv) == 2
-    assert "error" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "error" in err
+    assert out == ""

@@ -28,6 +28,7 @@ from gamiscreen.evaluation import (
     roc_auc,
     roc_csv,
     roc_svg,
+    tally,
 )
 from gamiscreen.logit import fit_logistic
 
@@ -317,6 +318,48 @@ class TestDeLong:
     def test_degenerate_zero_variance(self):
         roc = roc_auc([0, 0, 1, 1], [0, 0, 1, 1])
         assert roc.auc_ci_low == roc.auc_ci_high == 1.0
+
+
+def sorted_dict_tally(keys, positive):
+    """Brute-force oracle for `tally`: (key, records, positives) per distinct key, ascending."""
+    counts = {}
+    for key, is_pos in zip(keys, positive):
+        n, n_pos = counts.get(key, (0, 0))
+        counts[key] = (n + 1, n_pos + is_pos)
+    return [(key, n, n_pos) for key, (n, n_pos) in sorted(counts.items())]
+
+
+@st.composite
+def bit_rows(draw):
+    """(rows, positive, width): 0/1 rows of one width in 1-4, and a label per row."""
+    width = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 40))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=width, max_size=width),
+                         min_size=n, max_size=n))
+    return rows, draw(st.lists(st.booleans(), min_size=n, max_size=n)), width
+
+
+class TestTally:
+    @settings(max_examples=150)
+    @given(tied_pairs(ROC_SCORES, min_size=0))
+    def test_float_keys_equal_sorted_dict_count(self, data):
+        scores, labels = data
+        keys, positive = np.array(scores, dtype=float), np.array(labels) == 1
+        values, count, pos = tally(keys, positive)
+        # -0.0 and 0.0 are one key for both; == does not tell them apart
+        assert list(zip(values.tolist(), count.tolist(), pos.tolist())) == \
+            sorted_dict_tally(scores, positive.tolist())
+
+    @settings(max_examples=150)
+    @given(bit_rows())
+    def test_void_row_keys_equal_sorted_dict_count(self, data):
+        rows, positive, width = data
+        bits = np.array(rows, dtype=np.uint8).reshape(len(rows), width)
+        keys = bits.view(np.dtype((np.void, width))).ravel()
+        values, count, pos = tally(keys, np.array(positive, dtype=bool))
+        distinct = [tuple(r) for r in values.view(np.uint8).reshape(-1, width).tolist()]
+        assert list(zip(distinct, count.tolist(), pos.tolist())) == \
+            sorted_dict_tally(map(tuple, rows), positive)
 
 
 class TestTieTableRoc:
