@@ -274,8 +274,14 @@ def calibration_strata(predicted, labels,
             break
         del bounds[min(low + 1, len(bounds) - 2)]
 
-    # Correctly rounded sums of value x count, so the mean does not drift with n.
-    mass = (values * n_at).tolist()
+    # Each value x count as four exact products, the value's Veltkamp halves
+    # (26 bits each) times the count's halves at 2**26, so one `fsum` per
+    # stratum is the correctly rounded sum over its records.
+    top = values * 134217729.0  # 2**27 + 1
+    top -= top - values
+    tail = values - top
+    count_top, count_low = (n_at >> 26 << 26).astype(float), (n_at & 0x3FFFFFF).astype(float)
+    terms = np.column_stack([top * count_top, top * count_low, tail * count_top, tail * count_low])
     strata = []
     for i, (first, end) in enumerate(zip(bounds, bounds[1:])):
         lo, hi = cut[first], cut[end]
@@ -285,7 +291,7 @@ def calibration_strata(predicted, labels,
             n_obs=count,
             n_pos=pos,
             observed_rate=pos / count,
-            mean_predicted=math.fsum(mass[lo:hi]) / count,
+            mean_predicted=math.fsum(terms[lo:hi].ravel().tolist()) / count,
         ))
     merged = tuple(s.label for s in strata if "-" in s.label)
     return CalibrationReport(strata=tuple(strata), merged=merged)

@@ -133,9 +133,9 @@ def _parse_record(row: dict, rownum: int) -> AppRecord:
         raise ParseError(rownum, str(exc)) from exc
 
 
-def _json_lines(text: str):
+def _json_lines(lines):
     """(row, line number) per nonblank line; objects get the stdin defaults."""
-    for i, line in enumerate(io.StringIO(text, newline=None), start=1):
+    for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -156,45 +156,47 @@ def ingest(path) -> Dataset:
     defaults ``id = stdin-<line>``, ``store = other`` and empty text.
     A file whose name ends in ``.json`` is read as JSON, any other as CSV.
     Input must be UTF-8, with or without a byte-order mark; undecodable
-    bytes are rejected, not replaced.
+    bytes are rejected, not replaced, when the parser reaches their 8 KB chunk.
     """
     path = str(path)
+    records: list[AppRecord] = []
     try:
         if path == "-":
             # The bytes under a text stdin, so its error handler cannot mask bad UTF-8.
             stdin = getattr(sys.stdin, "buffer", None)
             text = stdin.read().decode("utf-8-sig") if stdin else sys.stdin.read()
+            fh = io.StringIO(text, newline=None)
         else:
-            with open(path, encoding="utf-8-sig", errors="strict", newline="") as fh:
-                text = fh.read()
+            fh = open(path, encoding="utf-8-sig", errors="strict", newline="")
+        with fh:
+            if path == "-":
+                rows = _json_lines(fh)
+            elif not path.endswith(".json"):
+                reader = csv.DictReader(fh)
+                header = reader.fieldnames or []
+                missing = [c for c in REQUIRED_COLUMNS if c not in header]
+                if missing:
+                    raise ParseError(None, f"missing required columns: {', '.join(missing)}")
+                rows = ((r, i) for i, r in enumerate(reader, start=2))
+            else:
+                try:
+                    doc = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(None, f"invalid JSON: {exc}") from exc
+                if isinstance(doc, dict) and "records" in doc:
+                    doc = doc["records"]
+                if not isinstance(doc, list):
+                    raise ParseError(None, "expected a JSON array of records")
+                rows = ((r, i) for i, r in enumerate(doc, start=1))
+            for row, rownum in rows:
+                if not isinstance(row, dict):
+                    raise ParseError(rownum, "record is not an object")
+                records.append(_parse_record(row, rownum))
     except UnicodeDecodeError as exc:
-        raise ParseError(None, f"not valid UTF-8: {exc}") from exc
-
-    if path == "-":
-        rows = _json_lines(text)
-    elif not path.endswith(".json"):
-        reader = csv.DictReader(io.StringIO(text))
-        header = reader.fieldnames or []
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise ParseError(None, f"missing required columns: {', '.join(missing)}")
-        rows = ((r, i) for i, r in enumerate(reader, start=2))
-    else:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(None, f"invalid JSON: {exc}") from exc
-        if isinstance(doc, dict) and "records" in doc:
-            doc = doc["records"]
-        if not isinstance(doc, list):
-            raise ParseError(None, "expected a JSON array of records")
-        rows = ((r, i) for i, r in enumerate(doc, start=1))
-
-    records: list[AppRecord] = []
-    for row, rownum in rows:
-        if not isinstance(row, dict):
-            raise ParseError(rownum, "record is not an object")
-        records.append(_parse_record(row, rownum))
+        # The decoder's position counts from its current chunk, not the file start.
+        raise ParseError(None, f"not valid UTF-8: {exc.reason}") from exc
+    except csv.Error as exc:
+        raise ParseError(None, f"malformed CSV at line {reader.reader.line_num}: {exc}") from exc
 
     return Dataset(records=records, source=path)
 

@@ -84,9 +84,19 @@ def test_score_csv_file(corpus_csv, tmp_path, capsys):
 
 def test_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("id,store,title\n1,ios,x\n", encoding="utf-8")
-    assert main(["ingest", str(bad), "--out", str(tmp_path / "o.json")]) == 2
-    assert "error" in capsys.readouterr().err
+    rows = "".join(f"r{i},ios,T,quiz\n" for i in range(1000)).encode()
+    for content in (b"id,store,title\n1,ios,x\n",
+                    # A quoted field over the csv module's 131072-character limit.
+                    b'id,store,title,description\n1,ios,x,"' + b"quiz " * 40000 + b'"\n',
+                    # Invalid UTF-8 past the first 8 KB.
+                    b"id,store,title,description\n" + rows + b"z,ios,T,\xff\n"):
+        bad.write_bytes(content)
+        for argv in (["ingest", str(bad), "--out", str(tmp_path / "o.json")],
+                     ["score", "--input", str(bad)]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert "error" in err and "Traceback" not in err
+            assert out == ""
 
 
 def test_statistical_error_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
@@ -98,6 +99,45 @@ class TestIngest:
         path.write_bytes(b"id,store,title,description\na,ios,T,\xff\xfe\n")
         with pytest.raises(ParseError):
             ingest(path)
+        # Past the first 8 KB the file is decoded chunk by chunk, as it is parsed.
+        rows = "".join(f"r{i},ios,T,quiz\n" for i in range(1000)).encode()
+        path.write_bytes(b"id,store,title,description\n" + rows + b"z,ios,T,\xff\n")
+        with pytest.raises(ParseError, match="not valid UTF-8") as exc:
+            ingest(path)
+        assert "position" not in str(exc.value)
+        # Faults are reported in file order: a bad row before the bad bytes is named.
+        path.write_bytes(b"id,store,title,description\na,symbian,T,\n" + rows + b"z,ios,T,\xff\n")
+        with pytest.raises(UnknownStoreError) as exc:
+            ingest(path)
+        assert exc.value.row == 2
+
+    def test_csv_read_allocates_less_than_the_file(self, tmp_path):
+        # The reader parses the open file: no whole-text copy, no in-memory file.
+        path = tmp_path / "in.csv"
+        write_csv(path, [{"id": f"r{i}", "store": "ios", "title": "Quiz",
+                          "description": "track your daily steps " * 20} for i in range(4000)])
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            ds = ingest(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds.records) == 4000 and size > 1_800_000
+        assert peak - held < 0.5 * size
+
+    def test_csv_line_endings(self, tmp_path):
+        # A quoted field keeps every line break and separator verbatim.
+        description = "a\nb\r\nc\rd\x0be\x1cf\u2028g"
+        lines = ["id,store,title,description", f'a,ios,T,"{description}"', "b,android,,quiz"]
+        records = []
+        for end in ("\n", "\r", "\r\n"):
+            path = tmp_path / "in.csv"
+            path.write_bytes((end.join(lines) + end).encode("utf-8"))
+            records.append(ingest(path).records)
+        assert records[0][0].description == description
+        assert [r.id for r in records[0]] == ["a", "b"]
+        assert records[1] == records[0] and records[2] == records[0]
 
     def test_json_input(self, tmp_path):
         path = tmp_path / "in.json"
@@ -170,7 +210,8 @@ class TestIngest:
         ('{"description": "quiz"}\n\n[1]\n', 3),
         ('\n{"description": "fun"}\n{bad\n', 3),
         ('{"id": "a"}\r\n\r\n{"gamification_label": 2}\r\n', 3),
-    ], ids=["not an object", "malformed JSON", "bad label after CRLF"])
+        ('{"id": "a"}\r\r{"gamification_label": 2}\r', 3),
+    ], ids=["not an object", "malformed JSON", "bad label after CRLF", "bad label after CR"])
     def test_stdin_errors_name_the_line(self, monkeypatch, text, row):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         with pytest.raises(ParseError) as exc:
