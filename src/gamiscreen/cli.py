@@ -87,7 +87,7 @@ def _cmd_train(args) -> int:
     logit.save_model(report.model, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+            report.to_json(fh)
     print(json.dumps({
         "auc_generation": report.roc_generation.auc,
         "auc_validation": report.roc_validation.auc,

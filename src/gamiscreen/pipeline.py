@@ -159,25 +159,30 @@ def ingest(path) -> Dataset:
     bytes are rejected, not replaced, when the parser reaches their 8 KB chunk.
     """
     path = str(path)
+    is_csv = path != "-" and not path.endswith(".json")
     records: list[AppRecord] = []
     try:
-        if path == "-":
-            # The bytes under a text stdin, so its error handler cannot mask bad UTF-8.
-            stdin = getattr(sys.stdin, "buffer", None)
-            text = stdin.read().decode("utf-8-sig") if stdin else sys.stdin.read()
-            fh = io.StringIO(text, newline=None)
-        else:
-            fh = open(path, encoding="utf-8-sig", errors="strict", newline="")
-        with fh:
+        with contextlib.ExitStack() as stack:
+            if path != "-":
+                fh = stack.enter_context(open(path, encoding="utf-8-sig", errors="strict",
+                                              newline=""))
+            elif stdin := getattr(sys.stdin, "buffer", None):
+                # A strict decoder over the bytes under a text stdin, so its error handler
+                # cannot mask bad UTF-8; detached, not closed, so stdin stays open.
+                fh = io.TextIOWrapper(stdin, encoding="utf-8-sig", errors="strict", newline=None)
+                stack.callback(fh.detach)
+            else:
+                fh = io.StringIO(sys.stdin.read(), newline=None)
             if path == "-":
                 rows = _json_lines(fh)
-            elif not path.endswith(".json"):
+            elif is_csv:
                 reader = csv.DictReader(fh)
                 header = reader.fieldnames or []
                 missing = [c for c in REQUIRED_COLUMNS if c not in header]
                 if missing:
                     raise ParseError(None, f"missing required columns: {', '.join(missing)}")
-                rows = ((r, i) for i, r in enumerate(reader, start=2))
+                # Read after each row parses: the file line on which the record ends.
+                rows = ((r, reader.line_num) for r in reader)
             else:
                 try:
                     doc = json.load(fh)
@@ -191,6 +196,9 @@ def ingest(path) -> Dataset:
             for row, rownum in rows:
                 if not isinstance(row, dict):
                     raise ParseError(rownum, "record is not an object")
+                if is_csv and (None in row or None in row.values()):
+                    n = len(header) + len(row.get(None, ())) - list(row.values()).count(None)
+                    raise ParseError(rownum, f"{n} fields, but the header has {len(header)}")
                 records.append(_parse_record(row, rownum))
     except UnicodeDecodeError as exc:
         # The decoder's position counts from its current chunk, not the file start.
@@ -297,12 +305,10 @@ class StudyReport:
             ],
         }
 
-    def to_json(self) -> str:
-        # Streamed: with an indent, `json.dumps` first lists every chunk (the peak RSS at 100k).
-        buf = io.StringIO()
-        json.dump(self.to_dict(), buf, indent=2)
-        buf.write("\n")
-        return buf.getvalue()
+    def to_json(self, fh) -> None:
+        """Dump the report, as indented JSON, into the open text file `fh`."""
+        json.dump(self.to_dict(), fh, indent=2)
+        fh.write("\n")
 
 
 @contextlib.contextmanager

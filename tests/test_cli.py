@@ -10,6 +10,7 @@ import pytest
 
 from gamiscreen.cli import main
 from gamiscreen.evaluation import calibration_strata, calibration_to_dict
+from gamiscreen.pipeline import ingest, run_study
 
 from conftest import synthetic_corpus
 
@@ -89,7 +90,10 @@ def test_input_error_exit_code(tmp_path, capsys):
                     # A quoted field over the csv module's 131072-character limit.
                     b'id,store,title,description\n1,ios,x,"' + b"quiz " * 40000 + b'"\n',
                     # Invalid UTF-8 past the first 8 KB.
-                    b"id,store,title,description\n" + rows + b"z,ios,T,\xff\n"):
+                    b"id,store,title,description\n" + rows + b"z,ios,T,\xff\n",
+                    # A row with more fields than the header, and one with fewer.
+                    b"id,store,title,description\n1,ios,My App,Track, play and quiz\n",
+                    b"id,store,title,description,gamification_label\n1,ios,T,quiz\n"):
         bad.write_bytes(content)
         for argv in (["ingest", str(bad), "--out", str(tmp_path / "o.json")],
                      ["score", "--input", str(bad)]):
@@ -278,6 +282,8 @@ def test_train_from_csv_matches_dataset_file(corpus_csv, tmp_path, capsys):
                      "--out", str(model), "--report", str(report)]) == 0
         outputs.append((model.read_bytes(), report.read_bytes()))
     assert outputs[0] == outputs[1]
+    study = run_study(ingest(corpus_csv), seed=5)
+    assert outputs[0][1] == (json.dumps(study.to_dict(), indent=2) + "\n").encode("utf-8")
 
 
 def _doc(obj) -> bytes:

@@ -76,6 +76,12 @@ class TestIngest:
             ingest(path)
         assert exc.value.row == 2 and exc.value.value == "symbian"
         assert str(exc.value).startswith("row 2: unknown store: 'symbian'")
+        # A row is named by the file line on which it ends, after quoted line breaks too.
+        path.write_text('id,store,title,description\na,ios,T,"x\n\ny"\nb,symbian,T,z\n',
+                        encoding="utf-8")
+        with pytest.raises(UnknownStoreError) as exc:
+            ingest(path)
+        assert exc.value.row == 5
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -111,20 +117,27 @@ class TestIngest:
             ingest(path)
         assert exc.value.row == 2
 
-    def test_csv_read_allocates_less_than_the_file(self, tmp_path):
-        # The reader parses the open file: no whole-text copy, no in-memory file.
+    def test_read_allocates_less_than_the_input(self, monkeypatch, tmp_path):
+        # The reader parses the open file, and decodes stdin as it parses it: no
+        # whole-input bytes or text, and no in-memory file.
         path = tmp_path / "in.csv"
         write_csv(path, [{"id": f"r{i}", "store": "ios", "title": "Quiz",
                           "description": "track your daily steps " * 20} for i in range(4000)])
-        size = path.stat().st_size
-        tracemalloc.start()
-        try:
-            ds = ingest(path)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(ds.records) == 4000 and size > 1_800_000
-        assert peak - held < 0.5 * size
+        lines = "".join(json.dumps({"id": f"r{i}", "store": "ios", "title": "Quiz",
+                                    "description": "track your daily steps " * 40}) + "\n"
+                        for i in range(2000)).encode("utf-8")
+        raw = io.BytesIO(lines)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+        for source, size, n in ((path, path.stat().st_size, 4000), ("-", len(lines), 2000)):
+            tracemalloc.start()
+            try:
+                ds = ingest(source)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(ds.records) == n and size > 1_800_000
+            assert peak - held < 0.5 * size
+        assert not raw.closed  # the stdin decoder is detached, not closed
 
     def test_csv_line_endings(self, tmp_path):
         # A quoted field keeps every line break and separator verbatim.
@@ -225,6 +238,7 @@ class TestIngest:
                                                           errors="surrogateescape"))
         with pytest.raises(ParseError, match="UTF-8"):
             ingest("-")
+        assert not raw.closed  # the decoder is detached, not closed, on an error too
 
     def test_byte_order_mark_accepted(self, monkeypatch, tmp_path):
         rows = [{"id": "a", "store": "ios", "title": "Quiz", "description": "Ünïcode fun",
@@ -415,9 +429,10 @@ class TestRunStudy:
         assert lo < 1.5 < hi
 
     def test_determinism(self, small_corpus):
-        a = run_study(small_corpus, seed=9).to_json()
-        b = run_study(small_corpus, seed=9).to_json()
-        assert a == b
+        a, b = io.StringIO(), io.StringIO()
+        run_study(small_corpus, seed=9).to_json(a)
+        run_study(small_corpus, seed=9).to_json(b)
+        assert a.getvalue() == b.getvalue()
 
 
 class TestScore:
