@@ -141,7 +141,7 @@ def _cmd_report(args) -> int:
         require_fields(r, "study record", group=str, label=int, probability=(int, float))
     wanted = args.roc_split
     recs = [r for r in study["records"] if r["group"] == wanted]
-    if (args.roc_svg or args.roc_csv) and recs:
+    if args.roc_svg or args.roc_csv:
         roc = roc_auc([r["probability"] for r in recs], [r["label"] for r in recs])
         if args.roc_svg:
             with open(args.roc_svg, "w", encoding="utf-8") as fh:

@@ -14,8 +14,7 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtr
 
 from .errors import (
     ArityMismatchError,
@@ -87,7 +86,7 @@ class FittedModel:
         return self.coefficients / self.standard_errors
 
     def p_values(self) -> np.ndarray:
-        return 2.0 * norm.sf(np.abs(self.z_values()))
+        return 2.0 * ndtr(-np.abs(self.z_values()))
 
 
 def log_likelihood(beta, X, y, n=1) -> float:
@@ -254,7 +253,7 @@ def univariate_screen(X, y, names=None) -> list[UnivariateResult]:
                 odds_ratio=odds_ratio,
                 ci_low=math.exp(log_or - Z95 * se),
                 ci_high=math.exp(log_or + Z95 * se),
-                p_value=float(2.0 * norm.sf(abs(log_or) / se)),
+                p_value=float(2.0 * ndtr(-abs(log_or) / se)),
             ))
     return results
 

@@ -56,6 +56,7 @@ from .textfeatures import (
 ALPHA = 0.05                     # strict selection keeps univariate p < ALPHA
 
 REQUIRED_COLUMNS = ("id", "store", "title", "description")
+READ_COLUMNS = REQUIRED_COLUMNS + ("gamification_label", "app_type", "language")
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,9 @@ def ingest(path) -> Dataset:
                 missing = [c for c in REQUIRED_COLUMNS if c not in header]
                 if missing:
                     raise ParseError(None, f"missing required columns: {', '.join(missing)}")
+                repeated = [c for c in READ_COLUMNS if header.count(c) > 1]
+                if repeated:
+                    raise ParseError(None, f"repeated columns: {', '.join(repeated)}")
                 # Read after each row parses: the file line on which the record ends.
                 rows = ((r, reader.line_num) for r in reader)
             else:
@@ -245,6 +249,8 @@ def split(dataset: Dataset, seed: int) -> SplitPlan:
     ids; the first round(2n/3) go to the generation group. Identical seed
     and dataset give a byte-identical plan.
     """
+    if seed < 0:  # `Random(-7)` shuffles as `Random(7)` does
+        raise InputError(f"seed must be nonnegative, got {seed}")
     labeled = dataset.labeled()
     n = len(labeled)
     if n < 3:

@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,7 +96,10 @@ def test_input_error_exit_code(tmp_path, capsys):
                     b"id,store,title,description\n" + rows + b"z,ios,T,\xff\n",
                     # A row with more fields than the header, and one with fewer.
                     b"id,store,title,description\n1,ios,My App,Track, play and quiz\n",
-                    b"id,store,title,description,gamification_label\n1,ios,T,quiz\n"):
+                    b"id,store,title,description,gamification_label\n1,ios,T,quiz\n",
+                    # A read column named twice: `csv.DictReader` keeps the last copy.
+                    b"id,store,title,description,description\n1,ios,T,quiz game,\n",
+                    b"id,store,title,description,id\n1,ios,T,quiz game,2\n"):
         bad.write_bytes(content)
         for argv in (["ingest", str(bad), "--out", str(tmp_path / "o.json")],
                      ["score", "--input", str(bad)]):
@@ -101,6 +107,32 @@ def test_input_error_exit_code(tmp_path, capsys):
             out, err = capsys.readouterr()
             assert "error" in err and "Traceback" not in err
             assert out == ""
+
+
+_SCIPY_PROBE = """
+import sys
+from gamiscreen import cli
+from gamiscreen.evaluation import calibration_strata, roc_auc
+assert cli.main(["score", "--explain", "--input", sys.argv[1]]) == 0
+p, y = [0.1, 0.2, 0.2, 0.4, 0.6, 0.7, 0.7, 0.9], [0, 0, 1, 0, 1, 0, 1, 1]
+roc_auc(p, y)
+calibration_strata(p, y)
+print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy.")
+             and m.count(".") == 1 and not m.startswith("scipy._") and hasattr(mod, "__path__")))
+"""
+
+
+def test_scoring_loads_no_scipy_subpackage_but_special(tmp_path):
+    """`score` and ROC + calibration, in a fresh interpreter, import `scipy.special` alone.
+
+    `train` is left out: a fit may import a solver where it calls it.
+    """
+    listings = tmp_path / "listings.csv"
+    listings.write_text("id,store,title,description\n1,ios,Quiz,Track your quiz progress\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(listings)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "['scipy.special']"
 
 
 def test_statistical_error_exit_code(tmp_path, capsys):
@@ -292,7 +324,7 @@ def _doc(obj) -> bytes:
 
 _MODEL_VARIABLE = {"name": "A", "coefficient": 1.0, "standard_error": 0.5}
 _BAD_KEYWORDS = ("Quiz", "two words", "")  # not casefolded, not one token, empty
-_BAD_SEEDS = ("7", True, 7.5)  # not integers, though `Random` accepts each
+_BAD_SEEDS = ("7", True, 7.5, -7)  # not seeds, though `Random` accepts each
 _STUDY_DATASET = {"n_records": 4, "n_labeled": 4, "n_positive": 2}
 _STUDY_AUC = {"auc": 0.75, "auc_ci_low": 0.5, "auc_ci_high": 1.0}
 
@@ -312,6 +344,10 @@ def test_report_table_prints_a_minimal_study(tmp_path, capsys):
         "records: 4  labeled: 4  positive: 2",
         "AUC (generation): 0.750 (95% CI 0.500-1.000)",
         "AUC (validation): 0.750 (95% CI 0.500-1.000)"]
+    # Its validation group has no records, so it has no ROC curve.
+    svg = tmp_path / "roc.svg"
+    assert main(["report", "--study", str(path), "--roc-svg", str(svg)]) == 3
+    assert not svg.exists()
 
 
 @pytest.mark.parametrize("command, flag, content", [

@@ -6,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 from scipy.special import expit
+from scipy.stats import norm  # the reference for the p-values; the package calls `ndtr`
 
 from gamiscreen.errors import (
     ArityMismatchError,
@@ -240,6 +241,10 @@ class TestUnivariateScreen:
             assert u.ci_low == pytest.approx(lo, rel=0, abs=1e-9)
             assert u.ci_high == pytest.approx(hi, rel=0, abs=1e-9)
             assert u.p_value == pytest.approx(m.p_values()[1], rel=0, abs=1e-9)
+            a, b, c, d = cells
+            z = abs(math.log(u.odds_ratio)) / math.sqrt(1 / a + 1 / b + 1 / c + 1 / d)
+            assert u.p_value == 2.0 * norm.sf(z)
+            assert (m.p_values() == 2.0 * norm.sf(np.abs(m.z_values()))).all()
 
     def test_perfect_predictor_recorded_not_raised(self):
         rng = np.random.default_rng(11)

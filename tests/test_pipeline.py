@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import gamiscreen as g
 from gamiscreen.errors import (
     DuplicateIdError,
+    InputError,
     ParseError,
     SeparationError,
     TooFewRecordsError,
@@ -318,6 +319,11 @@ class TestSplit:
     def test_too_few(self):
         with pytest.raises(TooFewRecordsError):
             split(labeled_dataset(2), seed=1)
+
+    def test_negative_seed(self):
+        # `Random(-7)` would give the `Random(7)` split under another recorded seed.
+        with pytest.raises(InputError):
+            split(labeled_dataset(10), seed=-7)
 
     @settings(max_examples=25)
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(3, 60))
