@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import logit, pipeline
 from .errors import InputError, StatisticalError, read_json, require_fields
 from .evaluation import (
@@ -101,24 +99,24 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     model = logit.load_model(args.model)
     ds = load_dataset(args.dataset)
+    if model.grouping is None:
+        raise InputError("model carries no keywords; cannot score raw text")
     labeled = ds.labeled()
+    bits, labels = pipeline.labeled_design(labeled, model.grouping)
     if args.split != "all":
         seed = model.seed if args.seed is None else args.seed
         if seed is None:
             raise InputError("model records no split seed; give --seed to evaluate the "
                              f"{args.split} group")
-        # The group's records; ROC and calibration depend only on the multiset of
-        # (probability, label) pairs, so the numbers equal the report's.
-        by_id = {r.id: r for r in labeled}
-        labeled = [by_id[i] for i in getattr(pipeline.split(ds, seed), f"{args.split}_ids")]
-    results = score_records(model, labeled)
-    probs = np.array([r.probability for r in results])
-    labels = np.array([r.gamification_label for r in labeled], dtype=float)
+        # The group's rows, as `run_study` takes them: so the numbers equal the report's.
+        rows = pipeline.split_rows(labeled, seed)[args.split == "validation"]
+        bits, labels = bits[rows], labels[rows]
+    probs = logit.probabilities(model, bits)
     roc = roc_auc(probs, labels)
     calib = calibration_strata(probs, labels)
     print(json.dumps({
         "split": args.split,
-        "n": len(labeled),
+        "n": len(labels),
         "auc": roc.auc,
         "auc_ci_low": roc.auc_ci_low,
         "auc_ci_high": roc.auc_ci_high,

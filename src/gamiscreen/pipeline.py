@@ -134,15 +134,28 @@ def _parse_record(row: dict, rownum: int) -> AppRecord:
         raise ParseError(rownum, str(exc)) from exc
 
 
+def _fields(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a repeated read field (`dict` keeps its last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = [c for c in READ_COLUMNS if keys.count(c) > 1]
+        if repeated:
+            raise ParseError(None, f"repeated fields: {', '.join(repeated)}")
+    return obj
+
+
 def _json_lines(lines):
     """(row, line number) per nonblank line; objects get the stdin defaults."""
     for i, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            row = json.loads(line, object_pairs_hook=_fields)
         except json.JSONDecodeError as exc:
             raise ParseError(i, f"invalid JSON: {exc}") from exc
+        except ParseError as exc:
+            raise ParseError(i, exc.reason) from None
         if isinstance(row, dict):
             row = {"id": f"stdin-{i}", "store": "other", "title": "", "description": "", **row}
         yield row, i
@@ -189,7 +202,7 @@ def ingest(path) -> Dataset:
                 rows = ((r, reader.line_num) for r in reader)
             else:
                 try:
-                    doc = json.load(fh)
+                    doc = json.load(fh, object_pairs_hook=_fields)
                 except json.JSONDecodeError as exc:
                     raise ParseError(None, f"invalid JSON: {exc}") from exc
                 if isinstance(doc, dict) and "records" in doc:
@@ -242,6 +255,20 @@ class SplitPlan:
     validation_ids: tuple[str, ...]
 
 
+def split_rows(labeled: list[AppRecord], seed: int) -> tuple[list[int], list[int]]:
+    """The generation and validation positions in `labeled`, as `split` cuts them: the
+    swaps of ``Random.shuffle`` depend on the length alone, so positions move as ids do."""
+    if seed < 0:  # `Random(-7)` shuffles as `Random(7)` does
+        raise InputError(f"seed must be nonnegative, got {seed}")
+    n = len(labeled)
+    if n < 3:
+        raise TooFewRecordsError(f"need at least 3 labeled records to split, got {n}")
+    rows = list(range(n))
+    Random(seed).shuffle(rows)
+    n_gen = round(2 * n / 3)
+    return rows[:n_gen], rows[n_gen:]
+
+
 def split(dataset: Dataset, seed: int) -> SplitPlan:
     """Seeded two-thirds / one-third partition of the labeled records.
 
@@ -249,17 +276,16 @@ def split(dataset: Dataset, seed: int) -> SplitPlan:
     ids; the first round(2n/3) go to the generation group. Identical seed
     and dataset give a byte-identical plan.
     """
-    if seed < 0:  # `Random(-7)` shuffles as `Random(7)` does
-        raise InputError(f"seed must be nonnegative, got {seed}")
     labeled = dataset.labeled()
-    n = len(labeled)
-    if n < 3:
-        raise TooFewRecordsError(f"need at least 3 labeled records to split, got {n}")
-    ids = [r.id for r in labeled]
-    Random(seed).shuffle(ids)
-    n_gen = round(2 * n / 3)
-    return SplitPlan(seed=seed, generation_ids=tuple(ids[:n_gen]),
-                     validation_ids=tuple(ids[n_gen:]))
+    return SplitPlan(seed, *(tuple(labeled[i].id for i in rows)
+                             for rows in split_rows(labeled, seed)))
+
+
+def labeled_design(labeled: list[AppRecord], grouping: VariableGrouping):
+    """The uint8 bits under `grouping`, shaped (n, k), and the labels of `labeled`."""
+    X = np.array([extract_features(r, grouping).bits for r in labeled], dtype=np.uint8)
+    y = np.array([r.gamification_label for r in labeled], dtype=np.uint8)
+    return X.reshape(len(labeled), len(grouping.names)), y
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +362,9 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
     names = grouping.names
 
     labeled = dataset.labeled()
-    X = np.array([extract_features(r, grouping).bits for r in labeled], dtype=np.uint8)
-    y = np.array([r.gamification_label for r in labeled], dtype=np.uint8)
-    row = {r.id: i for i, r in enumerate(labeled)}
-
-    plan = split(dataset, seed)
-    gen = np.array([row[i] for i in plan.generation_ids])
-    val = np.array([row[i] for i in plan.validation_ids])
+    X, y = labeled_design(labeled, grouping)
+    gen, val = split_rows(labeled, seed)
+    plan = SplitPlan(seed, *(tuple(labeled[i].id for i in rows) for rows in (gen, val)))
     X_gen, y_gen = X[gen], y[gen]
 
     with _stage("univariate screen"):

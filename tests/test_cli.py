@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gamiscreen.cli import main
-from gamiscreen.evaluation import calibration_strata, calibration_to_dict
+from gamiscreen.evaluation import calibration_strata, calibration_to_dict, roc_auc
 from gamiscreen.pipeline import ingest, run_study
 
 from conftest import synthetic_corpus
@@ -107,6 +107,25 @@ def test_input_error_exit_code(tmp_path, capsys):
             out, err = capsys.readouterr()
             assert "error" in err and "Traceback" not in err
             assert out == ""
+
+
+def test_repeated_json_field_is_input_error(tmp_path, monkeypatch, capsys):
+    # `json` keeps the last value of a repeated key, as `csv.DictReader` does.
+    record = ('{"id": "1", "store": "ios", "title": "", '
+              '"description": "quiz game", "description": ""}')
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"id": "0"}\n' + record + "\n"))
+    assert main(["score"]) == 2
+    assert "row 2: repeated fields: description" in capsys.readouterr().err
+    bad = tmp_path / "bad.json"
+    bad.write_text(f"[{record}]", encoding="utf-8")
+    for argv in (["ingest", str(bad), "--out", str(tmp_path / "o.json")],
+                 ["score", "--input", str(bad)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "repeated fields: description" in err and out == ""
+    # A field the reader does not read may repeat.
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"id": "1", "note": "a", "note": "b"}\n'))
+    assert main(["score"]) == 0
 
 
 _SCIPY_PROBE = """
@@ -213,6 +232,24 @@ def test_evaluate_reproduces_the_report(corpus_csv, tmp_path, capsys, select):
         assert evaluated["calibration"] == calibration
 
 
+def test_evaluate_all_reproduces_the_report_records(corpus_csv, tmp_path, capsys):
+    model, report = tmp_path / "model.json", tmp_path / "report.json"
+    assert main(["train", "--dataset", str(corpus_csv), "--seed", "7",
+                 "--out", str(model), "--report", str(report)]) == 0
+    capsys.readouterr()
+    records = json.loads(report.read_text(encoding="utf-8"))["records"]
+    assert main(["evaluate", "--model", str(model), "--dataset", str(corpus_csv)]) == 0
+    evaluated = json.loads(capsys.readouterr().out)
+    # Both groups together: every labeled record of the dataset.
+    probs = np.array([r["probability"] for r in records])
+    labels = np.array([r["label"] for r in records])
+    roc = roc_auc(probs, labels)
+    assert evaluated["split"] == "all" and evaluated["n"] == len(records) == 700
+    assert [evaluated[k] for k in ("auc", "auc_ci_low", "auc_ci_high")] == [
+        roc.auc, roc.auc_ci_low, roc.auc_ci_high]
+    assert evaluated["calibration"] == calibration_to_dict(calibration_strata(probs, labels))
+
+
 def test_evaluate_defaults_to_the_model_seed(corpus_csv, tmp_path, capsys):
     model, report = tmp_path / "model.json", tmp_path / "report.json"
     assert main(["train", "--dataset", str(corpus_csv), "--seed", "7",
@@ -256,6 +293,22 @@ def test_evaluate_model_without_seed(corpus_csv, capsys):
     assert "--seed" in capsys.readouterr().err
     assert main(argv + ["--split", "validation", "--seed", "7"]) == 0
     assert main(argv + ["--split", "all"]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["score", "--input"],
+    ["evaluate", "--dataset"],
+    ["evaluate", "--split", "validation", "--seed", "7", "--dataset"],
+], ids=["score", "evaluate", "evaluate validation"])
+def test_model_without_keywords_is_refused(corpus_csv, tmp_path, capsys, command):
+    doc = json.loads(resources.files("gamiscreen.data").joinpath("pretrained_model.json")
+                     .read_text(encoding="utf-8"))
+    for variable in doc["variables"]:
+        variable["keywords"] = []
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([*command, str(corpus_csv), "--model", str(model)]) == 2
+    assert "model carries no keywords" in capsys.readouterr().err
 
 
 def test_model_file_with_byte_order_mark(corpus_csv, tmp_path, capsys):

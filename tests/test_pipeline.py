@@ -3,6 +3,7 @@ import io
 import json
 import tracemalloc
 from datetime import datetime
+from random import Random
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from gamiscreen.errors import (
 from gamiscreen.logit import FittedModel, predict, probabilities
 from gamiscreen.pipeline import (
     Dataset,
+    SplitPlan,
     ingest,
     load_dataset,
     run_study,
     save_dataset,
     score_records,
     split,
+    split_rows,
 )
 from gamiscreen.textfeatures import AppRecord, VariableGrouping
 
@@ -334,6 +337,22 @@ class TestSplit:
         assert not gen & val
         assert gen | val == {r.id for r in ds.labeled()}
         assert len(plan.generation_ids) == round(2 * n / 3)
+
+    @settings(max_examples=25)
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(3, 60))
+    def test_ids_are_the_shuffled_ids(self, seed, n):
+        # Unlabeled records in between and ids out of order, so positions are not ids.
+        ds = Dataset(records=[
+            AppRecord(id=f"r{n - i}", store="ios", title="", description="",
+                      gamification_label=None if i % 3 == 1 else i % 2) for i in range(n + n // 2)
+        ])
+        labeled = ds.labeled()
+        ids = [r.id for r in labeled]
+        Random(seed).shuffle(ids)
+        cut = round(2 * len(ids) / 3)
+        assert split(ds, seed) == SplitPlan(seed, tuple(ids[:cut]), tuple(ids[cut:]))
+        gen, val = split_rows(labeled, seed)
+        assert [labeled[i].id for i in gen + val] == ids
 
 
 class TestRunStudy:
