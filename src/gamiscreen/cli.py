@@ -22,7 +22,7 @@ from .evaluation import (
     roc_svg,
 )
 from .pipeline import ingest, load_dataset, run_study, save_dataset, score_records
-from .textfeatures import load_lexicon_file
+from .textfeatures import extract_features, load_lexicon_file
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -102,16 +102,18 @@ def _cmd_evaluate(args) -> int:
     if model.grouping is None:
         raise InputError("model carries no keywords; cannot score raw text")
     labeled = ds.labeled()
-    bits, labels = pipeline.labeled_design(labeled, model.grouping)
     if args.split != "all":
         seed = model.seed if args.seed is None else args.seed
         if seed is None:
             raise InputError("model records no split seed; give --seed to evaluate the "
                              f"{args.split} group")
         # The group's rows, as `run_study` takes them: so the numbers equal the report's.
-        rows = pipeline.split_rows(labeled, seed)[args.split == "validation"]
-        bits, labels = bits[rows], labels[rows]
-    probs = logit.probabilities(model, bits)
+        group = pipeline.split_rows(labeled, seed)[args.split == "validation"]
+        labeled = [labeled[i] for i in group]
+    patterns, rows = pipeline.pattern_table(
+        (extract_features(r, model.grouping).bits for r in labeled), len(model.grouping.names))
+    labels = [r.gamification_label for r in labeled]
+    probs = logit.probabilities(model, patterns)[rows]
     roc = roc_auc(probs, labels)
     calib = calibration_strata(probs, labels)
     print(json.dumps({

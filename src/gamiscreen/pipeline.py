@@ -101,6 +101,7 @@ class Dataset:
 
 
 def _parse_record(row: dict, rownum: int) -> AppRecord:
+    """Read and convert one row; `AppRecord` checks the values, and its errors name the row."""
     for col in REQUIRED_COLUMNS:
         if row.get(col) is None:
             raise ParseError(rownum, f"missing required field {col!r}")
@@ -109,27 +110,20 @@ def _parse_record(row: dict, rownum: int) -> AppRecord:
     for col in ("store", "title", "description", "app_type", "language"):
         if not isinstance(row.get(col), (str, type(None))):
             raise ParseError(rownum, f"field {col!r} must be a string")
-    store = row["store"].strip().lower()
-    if store not in STORES:
-        raise UnknownStoreError(rownum, row["store"])
-    label_raw = row.get("gamification_label")
-    label = None
-    if label_raw not in (None, ""):
-        if str(label_raw) not in ("0", "1"):
-            raise ParseError(rownum, f"gamification_label must be 0 or 1, got {label_raw!r}")
-        label = int(label_raw)
-    app_type = row.get("app_type") or None
-    language = row.get("language") or None
+    label = row.get("gamification_label")  # CSV text: "" is unlabeled
+    label = {"": None, "0": 0, "1": 1}.get(label, label) if isinstance(label, str) else label
     try:
         return AppRecord(
             id=str(row["id"]),
-            store=store,
+            store=row["store"].strip().lower(),
             title=row["title"],
             description=row["description"],
             gamification_label=label,
-            app_type=app_type,
-            language=language,
+            app_type=row.get("app_type") or None,
+            language=row.get("language") or None,
         )
+    except UnknownStoreError:
+        raise UnknownStoreError(rownum, row["store"]) from None
     except InputError as exc:
         raise ParseError(rownum, str(exc)) from exc
 
@@ -281,11 +275,12 @@ def split(dataset: Dataset, seed: int) -> SplitPlan:
                              for rows in split_rows(labeled, seed)))
 
 
-def labeled_design(labeled: list[AppRecord], grouping: VariableGrouping):
-    """The uint8 bits under `grouping`, shaped (n, k), and the labels of `labeled`."""
-    X = np.array([extract_features(r, grouping).bits for r in labeled], dtype=np.uint8)
-    y = np.array([r.gamification_label for r in labeled], dtype=np.uint8)
-    return X.reshape(len(labeled), len(grouping.names)), y
+def pattern_table(bits, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct k-bit tuples of the iterable `bits`, first seen first, as an (m, k) uint8
+    matrix, and the row of that matrix for each tuple: ``patterns[rows]`` is every tuple."""
+    index: dict[tuple[int, ...], int] = {}
+    rows = np.fromiter((index.setdefault(b, len(index)) for b in bits), dtype=np.intp)
+    return np.array(list(index), dtype=np.uint8).reshape(len(index), k), rows
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +357,12 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
     names = grouping.names
 
     labeled = dataset.labeled()
-    X, y = labeled_design(labeled, grouping)
+    patterns, rows = pattern_table((extract_features(r, grouping).bits for r in labeled),
+                                   len(names))
+    y = np.array([r.gamification_label for r in labeled], dtype=np.uint8)
     gen, val = split_rows(labeled, seed)
-    plan = SplitPlan(seed, *(tuple(labeled[i].id for i in rows) for rows in (gen, val)))
-    X_gen, y_gen = X[gen], y[gen]
+    plan = SplitPlan(seed, *(tuple(labeled[i].id for i in group) for group in (gen, val)))
+    X_gen, y_gen = patterns[rows[gen]], y[gen]
 
     with _stage("univariate screen"):
         uni = univariate_screen(X_gen, y_gen, names=names)
@@ -386,7 +383,7 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
     model = replace(fit, seed=seed, grouping=VariableGrouping(
         tuple((n, grouping.members(n)) for n in selected)))
 
-    p = probabilities(model, X[:, sel_idx])
+    p = probabilities(model, patterns[:, sel_idx])[rows]
     p_gen, y_val, p_val = p[gen], y[val], p[val]
 
     with _stage("generation ROC"):
@@ -438,26 +435,25 @@ class ScoreResult:
 def score_records(model: FittedModel, records) -> list[ScoreResult]:
     """Score app records against the model's own keyword grouping.
 
-    Output order equals input order. One `probabilities` and one
-    `contributions` call over the distinct bit patterns give a per-pattern
-    table; every result gets its own copy of the contributions dict.
+    Output order equals input order. One `probabilities` and one `contributions`
+    call over the `pattern_table` rows serve every record; each result gets its own
+    copy of its pattern's contributions dict.
     """
     grouping = model.grouping
     if grouping is None:
         raise InputError("model carries no keywords; cannot score raw text")
     features = [(r, extract_features(r, grouping)) for r in records]
-    patterns = list(dict.fromkeys(fv.bits for _, fv in features))
-    X = np.array(patterns, dtype=np.uint8).reshape(len(patterns), len(grouping.names))
-    per_pattern = {bits: (prob, dict(zip(grouping.names, terms))) for bits, prob, terms in zip(
-        patterns, probabilities(model, X).tolist(), contributions(model, X).tolist())}
+    patterns, rows = pattern_table((fv.bits for _, fv in features), len(grouping.names))
+    probs = probabilities(model, patterns).tolist()
+    terms = [dict(zip(grouping.names, t)) for t in contributions(model, patterns).tolist()]
     return [
         ScoreResult(
             id=record.id,
-            probability=per_pattern[fv.bits][0],
+            probability=probs[i],
             matched_keywords=tuple(sorted(fv.matched_keywords)),
             bits=fv.bits,
-            contributions=dict(per_pattern[fv.bits][1]),
+            contributions=dict(terms[i]),
             flags=() if tokenize(record.text) else ("no_text",),
         )
-        for record, fv in features
+        for (record, fv), i in zip(features, rows.tolist())
     ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 
-from .errors import InputError, read_json, require_fields
+from .errors import InputError, UnknownStoreError, read_json, require_fields
 
 STORES = ("android", "ios", "other")
 APP_TYPES = ("breast_cancer", "health", "misc")
@@ -42,7 +42,7 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class AppRecord:
-    """One store listing: the unit of analysis."""
+    """One store listing: the unit of analysis, and the one holder of the value rules."""
 
     id: str
     store: str
@@ -53,12 +53,14 @@ class AppRecord:
     language: str | None = None
 
     def __post_init__(self):
+        # Store, label, id: a record with several faults names the first in this order.
+        if self.store not in STORES:
+            raise UnknownStoreError(None, self.store)
+        label = self.gamification_label
+        if label is not None and (type(label) is not int or label not in (0, 1)):
+            raise InputError(f"gamification_label must be 0 or 1, got {label!r}")
         if not self.id:
             raise InputError("record id must be nonempty")
-        if self.store not in STORES:
-            raise InputError(f"record {self.id!r}: store must be one of {STORES}, got {self.store!r}")
-        if self.gamification_label not in (None, 0, 1):
-            raise InputError(f"record {self.id!r}: gamification_label must be 0 or 1")
         if self.app_type is not None and self.app_type not in APP_TYPES:
             raise InputError(f"record {self.id!r}: app_type must be one of {APP_TYPES}")
 

@@ -89,23 +89,34 @@ def test_score_csv_file(corpus_csv, tmp_path, capsys):
 def test_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     rows = "".join(f"r{i},ios,T,quiz\n" for i in range(1000)).encode()
-    for content in (b"id,store,title\n1,ios,x\n",
-                    # A quoted field over the csv module's 131072-character limit.
-                    b'id,store,title,description\n1,ios,x,"' + b"quiz " * 40000 + b'"\n',
-                    # Invalid UTF-8 past the first 8 KB.
-                    b"id,store,title,description\n" + rows + b"z,ios,T,\xff\n",
-                    # A row with more fields than the header, and one with fewer.
-                    b"id,store,title,description\n1,ios,My App,Track, play and quiz\n",
-                    b"id,store,title,description,gamification_label\n1,ios,T,quiz\n",
-                    # A read column named twice: `csv.DictReader` keeps the last copy.
-                    b"id,store,title,description,description\n1,ios,T,quiz game,\n",
-                    b"id,store,title,description,id\n1,ios,T,quiz game,2\n"):
+    for content, message in (
+            (b"id,store,title\n1,ios,x\n", "missing required columns: description"),
+            # A quoted field over the csv module's 131072-character limit.
+            (b'id,store,title,description\n1,ios,x,"' + b"quiz " * 40000 + b'"\n',
+             "malformed CSV at line 2"),
+            # Invalid UTF-8 past the first 8 KB.
+            (b"id,store,title,description\n" + rows + b"z,ios,T,\xff\n", "not valid UTF-8"),
+            # A row with more fields than the header, and one with fewer.
+            (b"id,store,title,description\n1,ios,My App,Track, play and quiz\n",
+             "row 2: 5 fields, but the header has 4"),
+            (b"id,store,title,description,gamification_label\n1,ios,T,quiz\n",
+             "row 2: 4 fields, but the header has 5"),
+            # A read column named twice: `csv.DictReader` keeps the last copy.
+            (b"id,store,title,description,description\n1,ios,T,quiz game,\n",
+             "repeated columns: description"),
+            (b"id,store,title,description,id\n1,ios,T,quiz game,2\n", "repeated columns: id"),
+            # Record values: `AppRecord` checks them after the reader's conversions.
+            (b"id,store,title,description\n,ios,T,quiz\n", "row 2: record id must be nonempty"),
+            (b"id,store,title,description,app_type\n1,ios,T,quiz,Health\n",
+             "row 2: record '1': app_type must be one of ('breast_cancer', 'health', 'misc')"),
+            (b"id,store,title,description,gamification_label\n1,ios,T,quiz, 1\n",
+             "row 2: gamification_label must be 0 or 1, got ' 1'")):
         bad.write_bytes(content)
         for argv in (["ingest", str(bad), "--out", str(tmp_path / "o.json")],
                      ["score", "--input", str(bad)]):
             assert main(argv) == 2
             out, err = capsys.readouterr()
-            assert "error" in err and "Traceback" not in err
+            assert err.startswith(f"error: {message}") and "Traceback" not in err
             assert out == ""
 
 
@@ -197,16 +208,28 @@ def test_python_m_gamiscreen(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["probability"] > 0.99
 
 
-@pytest.mark.parametrize("content", [
-    b'{"records": [{"id": "a", "store": "ios", "title": "", "description": ""}, 5]}',
-    b'{"records": [',
-    b'{"records": [{"id": "a", "store": "ios", "title": "\xff", "description": ""}]}',
-], ids=["non-object record", "malformed JSON", "invalid UTF-8"])
-def test_train_bad_dataset_file_is_input_error(tmp_path, capsys, content):
+@pytest.mark.parametrize("content, message", [
+    (b'{"records": [{"id": "a", "store": "ios", "title": "", "description": ""}, 5]}',
+     "row 2: record is not an object"),
+    (b'{"records": [', "invalid JSON"),
+    (b'{"records": [{"id": "a", "store": "ios", "title": "\xff", "description": ""}]}',
+     "not valid UTF-8"),
+    (b'{"records": 5}', "expected a JSON array of records"),
+    (b'"x"', "expected a JSON array of records"),
+    (b'{"records": [{"id": "a", "store": "ios", "title": ""}]}',
+     "row 1: missing required field 'description'"),
+    # Valid records whose bits are all 0: every univariate fit fails, so none is kept.
+    (json.dumps({"records": [{"id": f"r{i}", "store": "ios", "title": "", "description": "",
+                              "gamification_label": i % 2} for i in range(30)]}).encode(),
+     "strict selection kept no variables"),
+], ids=["non-object record", "malformed JSON", "invalid UTF-8", "records not an array",
+        "document a string", "record without description", "strict selection keeps none"])
+def test_train_bad_dataset_file_is_input_error(tmp_path, capsys, content, message):
     path = tmp_path / "dataset.json"
     path.write_bytes(content)
-    assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "m.json")]) == 2
-    assert "error" in capsys.readouterr().err
+    assert main(["train", "--dataset", str(path), "--select", "strict",
+                 "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("select", ["forced", "strict"])
@@ -284,6 +307,32 @@ def test_evaluate_explicit_seed_overrides_the_model(corpus_csv, tmp_path, capsys
     roc = g.roc_auc([r.probability for r in g.score_records(g.load_model(model), records)],
                     [r.gamification_label for r in records])
     assert (evaluated["auc"], evaluated["auc_ci_low"]) == (roc.auc, roc.auc_ci_low)
+
+
+@pytest.mark.parametrize("split", ["all", "validation"])
+def test_evaluate_makes_one_probability_per_pattern(corpus_csv, tmp_path, monkeypatch, capsys,
+                                                     split):
+    import gamiscreen as g
+    from gamiscreen.logit import probabilities
+    from gamiscreen.pipeline import split_rows
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", str(corpus_csv), "--seed", "7", "--out", str(model)]) == 0
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr("gamiscreen.logit.probabilities",
+                        lambda m, X: calls.append(X.tolist()) or probabilities(m, X))
+    assert main(["evaluate", "--model", str(model), "--dataset", str(corpus_csv),
+                 "--split", split]) == 0
+    # one `probabilities` call, on exactly the distinct patterns of the evaluated group
+    labeled = g.ingest(corpus_csv).labeled()
+    if split == "validation":
+        labeled = [labeled[i] for i in split_rows(labeled, 7)[1]]
+    grouping = g.load_model(model).grouping
+    assert len(calls) == 1
+    assert sorted(map(tuple, calls[0])) == sorted(
+        {g.extract_features(r, grouping).bits for r in labeled})
+    assert len(calls[0]) < len(labeled)
+    assert json.loads(capsys.readouterr().out)["n"] == len(labeled)
 
 
 def test_evaluate_model_without_seed(corpus_csv, capsys):
@@ -406,6 +455,8 @@ def test_report_table_prints_a_minimal_study(tmp_path, capsys):
 @pytest.mark.parametrize("command, flag, content", [
     ("score", "--model", _doc({"format_version": 1})),
     ("score", "--model", _doc([1])),
+    ("score", "--model", _doc({"format_version": 2, "intercept": -1.0,
+                               "variables": [{**_MODEL_VARIABLE, "keywords": ["quiz"]}]})),
     ("train", "--lexicon", _doc({"version": 1})),
     ("report", "--study", _doc({"seed": 1})),
     ("score", "--model", b"{"),
@@ -444,7 +495,8 @@ def test_report_table_prints_a_minimal_study(tmp_path, capsys):
     ("report", "--study", _study(calibration={"strata": []})),
     ("report", "--study", _study(calibration={"strata": [{"label": "Q1"}], "merged": []})),
     ("report", "--study", _study(calibration={"strata": ["Q1"], "merged": []})),
-], ids=["model without variables", "model not an object", "lexicon without keywords",
+], ids=["model without variables", "model not an object", "model format_version 2",
+        "lexicon without keywords",
         "study without records", "model not JSON", "lexicon not JSON", "study not JSON",
         "model not UTF-8", "lexicon keyword not a string",
         "lexicon variable keyword not a string", "model variable keyword not a string",

@@ -24,13 +24,14 @@ from gamiscreen.pipeline import (
     SplitPlan,
     ingest,
     load_dataset,
+    pattern_table,
     run_study,
     save_dataset,
     score_records,
     split,
     split_rows,
 )
-from gamiscreen.textfeatures import AppRecord, VariableGrouping
+from gamiscreen.textfeatures import AppRecord, VariableGrouping, extract_features
 
 from conftest import synthetic_corpus
 
@@ -223,17 +224,28 @@ class TestIngest:
         ]
         assert ds.source == "-"
 
-    @pytest.mark.parametrize("text, row", [
-        ('{"description": "quiz"}\n\n[1]\n', 3),
-        ('\n{"description": "fun"}\n{bad\n', 3),
-        ('{"id": "a"}\r\n\r\n{"gamification_label": 2}\r\n', 3),
-        ('{"id": "a"}\r\r{"gamification_label": 2}\r', 3),
-    ], ids=["not an object", "malformed JSON", "bad label after CRLF", "bad label after CR"])
-    def test_stdin_errors_name_the_line(self, monkeypatch, text, row):
+    @pytest.mark.parametrize("text, row, message", [
+        ('{"description": "quiz"}\n\n[1]\n', 3, "record is not an object"),
+        ('\n{"description": "fun"}\n{bad\n', 3, "invalid JSON"),
+        ('{"id": "a"}\r\n\r\n{"gamification_label": 2}\r\n', 3,
+         "gamification_label must be 0 or 1, got 2"),
+        ('{"id": "a"}\r\r{"gamification_label": 2}\r', 3,
+         "gamification_label must be 0 or 1, got 2"),
+        # JSON true, false and 1.0 equal 1, 0 and 1, but are not labels.
+        ('{"id": "a"}\n{"gamification_label": true}\n', 2,
+         "gamification_label must be 0 or 1, got True"),
+        ('{"id": "a"}\n{"gamification_label": false}\n', 2,
+         "gamification_label must be 0 or 1, got False"),
+        ('{"id": "a"}\n{"gamification_label": 1.0}\n', 2,
+         "gamification_label must be 0 or 1, got 1.0"),
+    ], ids=["not an object", "malformed JSON", "bad label after CRLF", "bad label after CR",
+            "label true", "label false", "label 1.0"])
+    def test_stdin_errors_name_the_line(self, monkeypatch, text, row, message):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         with pytest.raises(ParseError) as exc:
             ingest("-")
         assert exc.value.row == row
+        assert str(exc.value).startswith(f"row {row}: {message}")
 
     def test_stdin_invalid_utf8_rejected(self, monkeypatch):
         # A text stream whose error handler would otherwise let the byte through.
@@ -453,6 +465,21 @@ class TestRunStudy:
         lo, hi = report.model.conf_int()[2]
         assert lo < 1.5 < hi
 
+    def test_one_probability_per_pattern(self, small_corpus, grouping, monkeypatch):
+        calls = []
+        monkeypatch.setattr("gamiscreen.pipeline.probabilities",
+                            lambda model, X: calls.append(X.tolist()) or probabilities(model, X))
+        report = run_study(small_corpus, seed=9)
+        # one `probabilities` call, on exactly the distinct patterns; the corpus repeats patterns
+        labeled = small_corpus.labeled()
+        assert len(calls) == 1
+        assert sorted(map(tuple, calls[0])) == sorted(
+            {extract_features(r, grouping).bits for r in labeled})
+        assert len(calls[0]) < len(labeled) / 2
+        bits = {r.id: extract_features(r, grouping).bits for r in labeled}
+        for rid, _, _, p in report.scored_records:
+            assert p == predict(report.model, bits[rid])
+
     def test_determinism(self, small_corpus):
         a, b = io.StringIO(), io.StringIO()
         run_study(small_corpus, seed=9).to_json(a)
@@ -494,6 +521,20 @@ class TestScore:
 
     def test_no_records(self, pretrained):
         assert score_records(pretrained, []) == []
+
+    def test_one_shot_iterator(self, pretrained, small_corpus):
+        records = small_corpus.records[:200]
+        assert score_records(pretrained, iter(records)) == score_records(pretrained, records)
+
+    def test_pattern_table(self):
+        bits = [(0, 1, 0), (1, 1, 0), (0, 1, 0), (0, 0, 0), (1, 1, 0)]
+        patterns, rows = pattern_table(iter(bits), 3)
+        assert patterns.dtype == np.uint8
+        assert patterns.tolist() == [[0, 1, 0], [1, 1, 0], [0, 0, 0]]
+        assert rows.tolist() == [0, 1, 0, 2, 1]
+        assert list(map(tuple, patterns[rows].tolist())) == bits
+        patterns, rows = pattern_table(iter(()), 3)
+        assert patterns.shape == (0, 3) and rows.shape == (0,)
 
     def test_per_pattern_table_matches_per_record(self, pretrained, small_corpus,
                                                    monkeypatch):
