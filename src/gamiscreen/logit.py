@@ -120,8 +120,6 @@ def _check_design(X, y, names):
     names = tuple(names)
     if len(names) != p:
         raise InputError(f"{len(names)} names for {p} columns")
-    if n < p + 1:
-        raise TooFewRecordsError(f"need at least {p + 1} observations for {p} features, got {n}")
     return X, y, names
 
 
@@ -141,6 +139,8 @@ def fit_logistic(X, y, names=None) -> FittedModel:
 
     Raises
     ------
+    TooFewRecordsError
+        for fewer than p + 1 rows.
     DegenerateColumnError
         for a constant-zero or constant-one feature column.
     SeparationError
@@ -151,6 +151,8 @@ def fit_logistic(X, y, names=None) -> FittedModel:
     """
     X, y, names = _check_design(X, y, names)
     n, p = X.shape
+    if n < p + 1:
+        raise TooFewRecordsError(f"need at least {p + 1} observations for {p} features, got {n}")
 
     col_sums = X.sum(axis=0)
     for j in range(p):

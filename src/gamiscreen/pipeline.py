@@ -171,29 +171,25 @@ def ingest(path) -> Dataset:
     records: list[AppRecord] = []
     try:
         with contextlib.ExitStack() as stack:
-            if path != "-":
-                fh = stack.enter_context(open(path, encoding="utf-8-sig", errors="strict",
-                                              newline=""))
-            elif stdin := getattr(sys.stdin, "buffer", None):
-                # A strict decoder over the bytes under a text stdin, so its error handler
-                # cannot mask bad UTF-8; detached, not closed, so stdin stays open.
-                fh = io.TextIOWrapper(stdin, encoding="utf-8-sig", errors="strict", newline=None)
-                stack.callback(fh.detach)
-            else:
-                fh = io.StringIO(sys.stdin.read(), newline=None)
+            # One strict decoder over the bytes of every source; detached, not closed, when
+            # the parse ends, so stdin stays open and a file is closed by its own context.
+            raw = sys.stdin.buffer if path == "-" else stack.enter_context(open(path, "rb"))
+            fh = io.TextIOWrapper(raw, encoding="utf-8-sig", errors="strict",
+                                  newline=None if path == "-" else "")
+            stack.callback(fh.detach)
             if path == "-":
                 rows = _json_lines(fh)
             elif is_csv:
-                reader = csv.DictReader(fh)
-                header = reader.fieldnames or []
+                reader = csv.reader(fh)
+                header = next(reader, [])
                 missing = [c for c in REQUIRED_COLUMNS if c not in header]
                 if missing:
                     raise ParseError(None, f"missing required columns: {', '.join(missing)}")
                 repeated = [c for c in READ_COLUMNS if header.count(c) > 1]
                 if repeated:
                     raise ParseError(None, f"repeated columns: {', '.join(repeated)}")
-                # Read after each row parses: the file line on which the record ends.
-                rows = ((r, reader.line_num) for r in reader)
+                # Blank lines are skipped; a row is the file line on which its record ends.
+                rows = ((fields, reader.line_num) for fields in reader if fields)
             else:
                 try:
                     doc = json.load(fh, object_pairs_hook=_fields)
@@ -205,17 +201,19 @@ def ingest(path) -> Dataset:
                     raise ParseError(None, "expected a JSON array of records")
                 rows = ((r, i) for i, r in enumerate(doc, start=1))
             for row, rownum in rows:
-                if not isinstance(row, dict):
+                if is_csv:
+                    if len(row) != len(header):
+                        raise ParseError(
+                            rownum, f"{len(row)} fields, but the header has {len(header)}")
+                    row = dict(zip(header, row))
+                elif not isinstance(row, dict):
                     raise ParseError(rownum, "record is not an object")
-                if is_csv and (None in row or None in row.values()):
-                    n = len(header) + len(row.get(None, ())) - list(row.values()).count(None)
-                    raise ParseError(rownum, f"{n} fields, but the header has {len(header)}")
                 records.append(_parse_record(row, rownum))
     except UnicodeDecodeError as exc:
         # The decoder's position counts from its current chunk, not the file start.
         raise ParseError(None, f"not valid UTF-8: {exc.reason}") from exc
     except csv.Error as exc:
-        raise ParseError(None, f"malformed CSV at line {reader.reader.line_num}: {exc}") from exc
+        raise ParseError(None, f"malformed CSV at line {reader.line_num}: {exc}") from exc
 
     return Dataset(records=records, source=path)
 

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,8 @@ def synthetic_corpus(model, grouping, n, seed, feature_prevalence=0.12):
 @pytest.fixture(scope="session")
 def small_corpus(pretrained, grouping):
     return synthetic_corpus(pretrained, grouping, n=900, seed=20)
+
+
+def stdin_text(text):
+    """A text stdin over the UTF-8 bytes of `text`, as a process's own stdin is."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import os
 import runpy
@@ -15,7 +14,7 @@ from gamiscreen.cli import main
 from gamiscreen.evaluation import calibration_strata, calibration_to_dict, roc_auc
 from gamiscreen.pipeline import ingest, run_study
 
-from conftest import synthetic_corpus
+from conftest import stdin_text, synthetic_corpus
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +62,8 @@ def test_ingest_train_evaluate_report(corpus_csv, tmp_path, capsys):
 
 def test_score_stdin_uses_bundled_model(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin",
-                        io.StringIO('{"description": "Track your diary quiz"}\n'
-                                    '{"description": ""}\n'))
+                        stdin_text('{"description": "Track your diary quiz"}\n'
+                                   '{"description": ""}\n'))
     assert main(["score", "--explain"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     first = json.loads(lines[0])
@@ -101,7 +100,7 @@ def test_input_error_exit_code(tmp_path, capsys):
              "row 2: 5 fields, but the header has 4"),
             (b"id,store,title,description,gamification_label\n1,ios,T,quiz\n",
              "row 2: 4 fields, but the header has 5"),
-            # A read column named twice: `csv.DictReader` keeps the last copy.
+            # A read column named twice: a row's dict would keep the last copy.
             (b"id,store,title,description,description\n1,ios,T,quiz game,\n",
              "repeated columns: description"),
             (b"id,store,title,description,id\n1,ios,T,quiz game,2\n", "repeated columns: id"),
@@ -121,10 +120,10 @@ def test_input_error_exit_code(tmp_path, capsys):
 
 
 def test_repeated_json_field_is_input_error(tmp_path, monkeypatch, capsys):
-    # `json` keeps the last value of a repeated key, as `csv.DictReader` does.
+    # `json` keeps the last value of a repeated key, as a CSV row's dict does.
     record = ('{"id": "1", "store": "ios", "title": "", '
               '"description": "quiz game", "description": ""}')
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"id": "0"}\n' + record + "\n"))
+    monkeypatch.setattr("sys.stdin", stdin_text('{"id": "0"}\n' + record + "\n"))
     assert main(["score"]) == 2
     assert "row 2: repeated fields: description" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
@@ -135,7 +134,7 @@ def test_repeated_json_field_is_input_error(tmp_path, monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert "repeated fields: description" in err and out == ""
     # A field the reader does not read may repeat.
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"id": "1", "note": "a", "note": "b"}\n'))
+    monkeypatch.setattr("sys.stdin", stdin_text('{"id": "1", "note": "a", "note": "b"}\n'))
     assert main(["score"]) == 0
 
 
@@ -165,6 +164,30 @@ def test_scoring_loads_no_scipy_subpackage_but_special(tmp_path):
     assert out.splitlines()[-1] == "['scipy.special']"
 
 
+def test_score_reads_the_process_stdin(monkeypatch, capsys):
+    """`python -m gamiscreen score` decodes the bytes of its own stdin as `ingest` does."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def score(stdin: bytes):
+        return subprocess.run([sys.executable, "-m", "gamiscreen", "score", "--explain"],
+                              input=stdin, env=env, capture_output=True)
+
+    text = ('\ufeff{"description": "multiplayer trivia game"}\r\n'
+            '{"title": "Quiz", "description": "track your progress"}\r'
+            '{"description": "daily diary"}\n')
+    run = score(text.encode("utf-8"))
+    assert run.returncode == 0 and run.stderr == b""
+    monkeypatch.setattr("sys.stdin", stdin_text(text))
+    assert main(["score", "--explain"]) == 0
+    assert run.stdout.decode("utf-8") == capsys.readouterr().out
+    assert len(run.stdout.splitlines()) == 3
+    # Line ends are translated: the parser sees `\n` where the line had CRLF.
+    run = score(b'{"id": "a"\r\n')
+    assert run.returncode == 2 and run.stdout == b""
+    assert run.stderr.decode("utf-8").startswith(
+        "error: row 1: invalid JSON: Expecting ',' delimiter: line 2 column 1 (char 11)")
+
+
 def test_statistical_error_exit_code(tmp_path, capsys):
     # labels exactly equal to the Game Labels bit: separation
     path = tmp_path / "sep.csv"
@@ -192,7 +215,7 @@ def test_io_error_exit_code(tmp_path, capsys):
                                   '{"store": 5}', '{"title": ["x"]}', '{"id": ["a"]}',
                                   '{"id": 1.5}', '{"id": true}'])
 def test_score_stdin_bad_line_is_input_error(monkeypatch, capsys, line):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"description": "quiz"}\n' + line + "\n"))
+    monkeypatch.setattr("sys.stdin", stdin_text('{"description": "quiz"}\n' + line + "\n"))
     assert main(["score"]) == 2
     captured = capsys.readouterr()
     assert "row 2" in captured.err
@@ -200,7 +223,7 @@ def test_score_stdin_bad_line_is_input_error(monkeypatch, capsys, line):
 
 
 def test_python_m_gamiscreen(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"description": "Track your diary quiz"}\n'))
+    monkeypatch.setattr("sys.stdin", stdin_text('{"description": "Track your diary quiz"}\n'))
     monkeypatch.setattr(sys, "argv", ["gamiscreen", "score"])
     with pytest.raises(SystemExit) as exit_info:
         runpy.run_module("gamiscreen", run_name="__main__")
@@ -373,7 +396,7 @@ def test_model_file_with_byte_order_mark(corpus_csv, tmp_path, capsys):
 
 
 def test_score_empty_input_prints_nothing(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("\n"))
+    monkeypatch.setattr("sys.stdin", stdin_text("\n"))
     assert main(["score", "--explain"]) == 0
     header_only = tmp_path / "empty.csv"
     header_only.write_text("id,store,title,description\n", encoding="utf-8")
@@ -382,7 +405,7 @@ def test_score_empty_input_prints_nothing(tmp_path, monkeypatch, capsys):
 
 
 def test_score_stdin_duplicate_id_is_input_error(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"id": "a"}\n{"id": "a"}\n'))
+    monkeypatch.setattr("sys.stdin", stdin_text('{"id": "a"}\n{"id": "a"}\n'))
     assert main(["score"]) == 2
     assert "duplicate record id" in capsys.readouterr().err
 
@@ -397,7 +420,7 @@ def test_score_stdin_matches_csv(corpus_csv, monkeypatch, capsys):
         rows = list(csv.DictReader(fh))
     lines = [json.dumps({k: r[k] for k in ("id", "store", "title", "description")})
              for r in rows]
-    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    monkeypatch.setattr("sys.stdin", stdin_text("\n".join(lines) + "\n"))
     assert main(["score", "--explain"]) == 0
     from_stdin = _explained(capsys)
     assert main(["score", "--explain", "--input", str(corpus_csv)]) == 0
@@ -520,7 +543,7 @@ def test_malformed_json_file_is_input_error(corpus_csv, tmp_path, monkeypatch, c
         argv += ["--dataset", str(corpus_csv), "--out", str(tmp_path / "m.json")]
     if command == "evaluate":
         argv += ["--dataset", str(corpus_csv), "--split", "validation"]
-    monkeypatch.setattr("sys.stdin", io.StringIO('{"description": "quiz"}\n'))
+    monkeypatch.setattr("sys.stdin", stdin_text('{"description": "quiz"}\n'))
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert "error" in err

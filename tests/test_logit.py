@@ -14,6 +14,7 @@ from gamiscreen.errors import (
     InputError,
     SeparationError,
     SingularMatrixError,
+    TooFewRecordsError,
 )
 from gamiscreen.logit import (
     SPLIT_GENERATOR,
@@ -245,6 +246,27 @@ class TestUnivariateScreen:
             z = abs(math.log(u.odds_ratio)) / math.sqrt(1 / a + 1 / b + 1 / c + 1 / d)
             assert u.p_value == 2.0 * norm.sf(z)
             assert (m.p_values() == 2.0 * norm.sf(np.abs(m.z_values()))).all()
+
+    def test_fewer_rows_than_columns(self):
+        # Each column's fit needs only its 2x2 table; the joint fit needs n >= p + 1.
+        rng = np.random.default_rng(8)
+        X = (rng.random((8, 14)) < 0.5).astype(float)
+        y = np.r_[np.ones(4), np.zeros(4)]
+        res = univariate_screen(X, y)
+        assert [u.variable for u in res] == [f"x{j}" for j in range(14)]
+        fitted = 0
+        for x, u in zip(X.T.tolist(), res):
+            a = sum(xi * yi for xi, yi in zip(x, y))
+            b, c, d = sum(x) - a, 4 - a, 4 - sum(x) + a
+            if min(a, b, c, d) > 0:
+                assert u.odds_ratio == a * d / (b * c)
+                fitted += 1
+            else:
+                assert u.error is not None and u.odds_ratio is None
+        assert fitted > 0
+        with pytest.raises(TooFewRecordsError,
+                           match="need at least 15 observations for 14 features, got 8"):
+            fit_logistic(X, y)
 
     def test_perfect_predictor_recorded_not_raised(self):
         rng = np.random.default_rng(11)

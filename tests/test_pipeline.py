@@ -33,7 +33,7 @@ from gamiscreen.pipeline import (
 )
 from gamiscreen.textfeatures import AppRecord, VariableGrouping, extract_features
 
-from conftest import synthetic_corpus
+from conftest import stdin_text, synthetic_corpus
 
 
 def write_csv(path, rows, fieldnames=None):
@@ -87,6 +87,12 @@ class TestIngest:
         with pytest.raises(UnknownStoreError) as exc:
             ingest(path)
         assert exc.value.row == 5
+        # And after a skipped blank line.
+        path.write_text("id,store,title,description\na,ios,T,z\n\nb,symbian,T,z\n",
+                        encoding="utf-8")
+        with pytest.raises(UnknownStoreError) as exc:
+            ingest(path)
+        assert str(exc.value).startswith("row 4: unknown store: 'symbian'")
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -156,6 +162,12 @@ class TestIngest:
         assert records[0][0].description == description
         assert [r.id for r in records[0]] == ["a", "b"]
         assert records[1] == records[0] and records[2] == records[0]
+        # Blank lines hold no record, whatever their line ending.
+        for text, ids in (("id,store,title,description\n1,ios,T,z\n\n2,ios,T,z\n", ["1", "2"]),
+                          ("id,store,title,description\n1,ios,T,z\n\n\n", ["1"]),
+                          ("id,store,title,description\r\n\r\n1,ios,T,z\r\n", ["1"])):
+            path.write_bytes(text.encode("utf-8"))
+            assert [r.id for r in ingest(path).records] == ids
 
     def test_json_input(self, tmp_path):
         path = tmp_path / "in.json"
@@ -173,7 +185,7 @@ class TestIngest:
     def test_json_text_fields_must_be_strings(self, monkeypatch, tmp_path, field, value):
         good = {"id": "a", "store": "ios", "title": "", "description": "quiz"}
         bad = {**good, "id": "b", field: value}
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"{json.dumps(good)}\n{json.dumps(bad)}\n"))
+        monkeypatch.setattr("sys.stdin", stdin_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n"))
         path = tmp_path / "in.json"
         path.write_text(json.dumps([good, bad]), encoding="utf-8")
         for source in ("-", path):
@@ -212,7 +224,7 @@ class TestIngest:
         assert load_dataset(out).records == records
 
     def test_stdin_json_lines(self, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(
+        monkeypatch.setattr("sys.stdin", stdin_text(
             '{"description": "quiz"}\n'
             "\n"
             '  \n'
@@ -241,7 +253,7 @@ class TestIngest:
     ], ids=["not an object", "malformed JSON", "bad label after CRLF", "bad label after CR",
             "label true", "label false", "label 1.0"])
     def test_stdin_errors_name_the_line(self, monkeypatch, text, row, message):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_text(text))
         with pytest.raises(ParseError) as exc:
             ingest("-")
         assert exc.value.row == row
