@@ -129,8 +129,26 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_score(args) -> int:
     model = logit.load_model(args.model) if args.model else logit.pretrained_model()
-    for result in score_records(model, ingest(args.input).records):
-        print(json.dumps(result.to_dict(explain=args.explain)))
+    results = score_records(model, ingest(args.input).records)
+    # Each line is `json.dumps(result.to_dict(args.explain))`, built from parts. The
+    # probability and contributions follow from the bits, and the flags from the text,
+    # so each distinct (bits, flags) pair is encoded once, and each keyword once per run.
+    keywords = {k: json.dumps(k) for k in model.grouping.all_keywords} if args.explain else {}
+    patterns: dict[tuple, tuple[str, str]] = {}
+    write = sys.stdout.write
+    for r in results:
+        key = (r.bits, r.flags)
+        encoded = patterns.get(key)
+        if encoded is None:
+            probability, flags = json.dumps(r.probability), json.dumps(list(r.flags))
+            encoded = patterns[key] = (
+                f', "probability": {probability}, "flags": {flags}',
+                f', "contributions": {json.dumps(r.contributions)}}}\n' if args.explain else "}\n")
+        head, tail = encoded
+        if args.explain:
+            matched = ", ".join([keywords[k] for k in r.matched_keywords])
+            head = f'{head}, "matched_keywords": [{matched}]'
+        write(f'{{"id": {json.dumps(r.id)}{head}{tail}')
     return EXIT_OK
 
 

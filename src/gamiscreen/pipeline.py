@@ -180,7 +180,7 @@ def ingest(path) -> Dataset:
             if path == "-":
                 rows = _json_lines(fh)
             elif is_csv:
-                reader = csv.reader(fh)
+                reader = csv.reader(fh, strict=True)
                 header = next(reader, [])
                 missing = [c for c in REQUIRED_COLUMNS if c not in header]
                 if missing:

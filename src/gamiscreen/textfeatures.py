@@ -20,9 +20,11 @@ APP_TYPES = ("breast_cancer", "health", "misc")
 
 # Maximal runs of letters/digits; underscore and all punctuation separate.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# Every ASCII character that is not a letter or digit becomes a space. On
-# ASCII text `[^\W_]` is exactly `str.isalnum` and `casefold` is `lower`.
-_ASCII_SEP = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalnum()})
+# One bytes translate lowercases ASCII letters, keeps digits and turns every
+# other byte into a space. On ASCII text `[^\W_]` is exactly `str.isalnum` and
+# `casefold` is `lower`; bytes above 127 never reach the table.
+_ASCII_TABLE = bytes(ord(chr(c).lower()) if c < 128 and chr(c).isalnum() else ord(" ")
+                     for c in range(256))
 
 
 def tokenize(text: str) -> list[str]:
@@ -31,12 +33,13 @@ def tokenize(text: str) -> list[str]:
     Tokens are maximal runs of Unicode letters and digits; everything
     else (punctuation, whitespace, underscores) separates. Deterministic
     and total: empty or ``None``-ish text yields an empty list. ASCII text
-    takes a translate-and-split path with the same result as the regex.
+    goes through one bytes translate, then a split, with the same result as
+    the regex.
     """
     if not text:
         return []
     if text.isascii():
-        return text.lower().translate(_ASCII_SEP).split()
+        return text.encode("ascii").translate(_ASCII_TABLE).decode("ascii").split()
     return [t.casefold() for t in _TOKEN_RE.findall(text)]
 
 

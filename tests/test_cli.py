@@ -12,7 +12,8 @@ import pytest
 
 from gamiscreen.cli import main
 from gamiscreen.evaluation import calibration_strata, calibration_to_dict, roc_auc
-from gamiscreen.pipeline import ingest, run_study
+from gamiscreen.logit import load_model
+from gamiscreen.pipeline import ingest, run_study, score_records
 
 from conftest import stdin_text, synthetic_corpus
 
@@ -104,6 +105,10 @@ def test_input_error_exit_code(tmp_path, capsys):
             (b"id,store,title,description,description\n1,ios,T,quiz game,\n",
              "repeated columns: description"),
             (b"id,store,title,description,id\n1,ios,T,quiz game,2\n", "repeated columns: id"),
+            # Text after a closing quote, and a quote never closed: strict CSV refuses both.
+            (b'id,store,title,description\n1,ios,"Quiz"x,track\n',
+             "malformed CSV at line 2: ',' expected after '\"'"),
+            (b'id,store,title,description\n2,ios,T,"quiz', "malformed CSV at line 2"),
             # Record values: `AppRecord` checks them after the reader's conversions.
             (b"id,store,title,description\n,ios,T,quiz\n", "row 2: record id must be nonempty"),
             (b"id,store,title,description,app_type\n1,ios,T,quiz,Health\n",
@@ -427,6 +432,30 @@ def test_score_stdin_matches_csv(corpus_csv, monkeypatch, capsys):
     from_csv = _explained(capsys)
     assert len(from_csv) == 700
     assert from_stdin == from_csv
+
+
+def test_score_lines_are_the_bytes_of_to_dict(tmp_path, capsys):
+    # Quiz and Game have one coefficient, so their patterns share a probability but
+    # not their contributions; the non-ASCII name and keyword show `ensure_ascii`.
+    variables = [("\u00c9toile", ["\u00e9toile"], 0.5), ("Quiz", ["quiz", "quizzes"], 1.5),
+                 ("Game", ["game"], 1.5)]
+    model = tmp_path / "model.json"
+    model.write_bytes(_doc({"format_version": 1, "intercept": -1.0, "variables": [
+        {"name": n, "keywords": k, "coefficient": c, "standard_error": 0.5}
+        for n, k, c in variables]}))
+    texts = [("q\"1\\\u00fc", "Quiz time"), ("g1", "GAME on"), ("q2", "quizzes, and a quiz"),
+             ("e1", "\u00c9toile du QUIZ: game"), ("n1", ""), ("z1", "nothing here"),
+             ("e2", "\u00e9toile"), ("g2", "game")]
+    listings = tmp_path / "listings.json"
+    listings.write_bytes(_doc([{"id": i, "store": "ios", "title": "", "description": d}
+                               for i, d in texts]))
+    results = score_records(load_model(model), ingest(listings).records)
+    assert results[0].probability == results[1].probability and results[4].flags == ("no_text",)
+    for explain in (False, True):
+        assert main(["score", "--model", str(model), "--input", str(listings),
+                     *(["--explain"] if explain else [])]) == 0
+        assert capsys.readouterr().out == "".join(
+            json.dumps(r.to_dict(explain)) + "\n" for r in results)
 
 
 def test_train_from_csv_matches_dataset_file(corpus_csv, tmp_path, capsys):

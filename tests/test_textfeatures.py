@@ -220,6 +220,7 @@ class TestTokenizeMatchesRegex:
 
     @given(ascii_text)
     @example("game_on\tLEVEL2\x1fquiz\x7f__9")
+    @example("".join(map(chr, range(128))))  # every byte of the ASCII table
     def test_ascii(self, text):
         assert text.isascii()
         assert tokenize(text) == regex_tokens(text)
