@@ -43,6 +43,8 @@ from .pipeline import (
     SplitPlan,
     StudyReport,
     ingest,
+    iter_scores,
+    read_records,
     run_study,
     score_records,
     split,

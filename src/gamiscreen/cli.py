@@ -21,7 +21,8 @@ from .evaluation import (
     roc_csv,
     roc_svg,
 )
-from .pipeline import ingest, load_dataset, run_study, save_dataset, score_records
+from .pipeline import ingest, iter_scores, load_dataset, read_records, run_study, save_dataset
+from .pipeline import score_records  # noqa: F401  (the benchmark's traced pass wraps it here)
 from .textfeatures import extract_features, load_lexicon_file
 
 EXIT_OK = 0
@@ -129,10 +130,13 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_score(args) -> int:
     model = logit.load_model(args.model) if args.model else logit.pretrained_model()
-    results = score_records(model, ingest(args.input).records)
-    # Each line is `json.dumps(result.to_dict(args.explain))`, built from parts. The
-    # probability and contributions follow from the bits, and the flags from the text,
-    # so each distinct (bits, flags) pair is encoded once, and each keyword once per run.
+    results = iter_scores(model, read_records(args.input))
+    # One stream, reader -> scorer -> writer: a chunk's lines are written before the next
+    # chunk is read, so memory does not grow with the input, and a fault partway through
+    # exits after the lines of every chunk before it. Each line is
+    # `json.dumps(result.to_dict(args.explain))`, built from parts. The probability and
+    # contributions follow from the bits, and the flags from the text, so each distinct
+    # (bits, flags) pair is encoded once, and each keyword once per run.
     keywords = {k: json.dumps(k) for k in model.grouping.all_keywords} if args.explain else {}
     patterns: dict[tuple, tuple[str, str]] = {}
     write = sys.stdout.write

@@ -12,8 +12,9 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
-from itertools import repeat
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import islice, repeat
 from random import Random
 
 import numpy as np
@@ -54,6 +55,7 @@ from .textfeatures import (
 )
 
 ALPHA = 0.05                     # strict selection keeps univariate p < ALPHA
+SCORE_CHUNK = 1024               # records that `iter_scores` reads before it yields
 
 REQUIRED_COLUMNS = ("id", "store", "title", "description")
 READ_COLUMNS = REQUIRED_COLUMNS + ("gamification_label", "app_type", "language")
@@ -155,8 +157,8 @@ def _json_lines(lines):
         yield row, i
 
 
-def ingest(path) -> Dataset:
-    """Read app records into a validated Dataset: the package's one reader.
+def read_records(path) -> Iterator[AppRecord]:
+    """Validated app records, in file order, as they are parsed: the package's one reader.
 
     `path` is a CSV file, a JSON file holding an array of records or an
     object with a ``"records"`` array (what `save_dataset` writes), or
@@ -165,10 +167,12 @@ def ingest(path) -> Dataset:
     A file whose name ends in ``.json`` is read as JSON, any other as CSV.
     Input must be UTF-8, with or without a byte-order mark; undecodable
     bytes are rejected, not replaced, when the parser reaches their 8 KB chunk.
+    A fault (a bad row, bad bytes, a record whose id was seen before) raises when
+    the parse reaches it, after every record before it has been yielded.
     """
     path = str(path)
     is_csv = path != "-" and not path.endswith(".json")
-    records: list[AppRecord] = []
+    seen: set[str] = set()
     try:
         with contextlib.ExitStack() as stack:
             # One strict decoder over the bytes of every source; detached, not closed, when
@@ -189,8 +193,9 @@ def ingest(path) -> Dataset:
                 if repeated:
                     raise ParseError(None, f"repeated columns: {', '.join(repeated)}")
                 # Blank lines are skipped; a row is the file line on which its record ends.
-                rows = ((fields, reader.line_num) for fields in reader if fields)
+                rows = ((row, reader.line_num) for row in reader if row)
             else:
+                # A JSON document is parsed whole before its first record is checked.
                 try:
                     doc = json.load(fh, object_pairs_hook=_fields)
                 except json.JSONDecodeError as exc:
@@ -208,23 +213,31 @@ def ingest(path) -> Dataset:
                     row = dict(zip(header, row))
                 elif not isinstance(row, dict):
                     raise ParseError(rownum, "record is not an object")
-                records.append(_parse_record(row, rownum))
+                record = _parse_record(row, rownum)
+                if record.id in seen:
+                    raise DuplicateIdError(record.id)
+                seen.add(record.id)
+                yield record
     except UnicodeDecodeError as exc:
         # The decoder's position counts from its current chunk, not the file start.
         raise ParseError(None, f"not valid UTF-8: {exc.reason}") from exc
     except csv.Error as exc:
         raise ParseError(None, f"malformed CSV at line {reader.line_num}: {exc}") from exc
 
-    return Dataset(records=records, source=path)
+
+def ingest(path) -> Dataset:
+    """Read every record of `path` (see `read_records`) into a validated Dataset."""
+    return Dataset(records=list(read_records(path)), source=str(path))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    names = [f.name for f in fields(AppRecord)]
     doc = {
         "source": dataset.source,
         "summary": dataset.summary(),
         # The fields in declaration order, like `asdict`, without its deep copy
         # of every value (which doubles the write time at 100k records).
-        "records": [vars(r) for r in dataset.records],
+        "records": [{name: getattr(r, name) for name in names} for r in dataset.records],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -430,28 +443,41 @@ class ScoreResult:
         return out
 
 
-def score_records(model: FittedModel, records) -> list[ScoreResult]:
-    """Score app records against the model's own keyword grouping.
+def iter_scores(model: FittedModel, records) -> Iterator[ScoreResult]:
+    """Score app records against the model's own keyword grouping, as they are read.
 
-    Output order equals input order. One `probabilities` and one `contributions`
-    call over the `pattern_table` rows serve every record; each result gets its own
-    copy of its pattern's contributions dict.
+    Yields one result per record, in input order. The records are taken
+    ``SCORE_CHUNK`` at a time; per chunk one `pattern_table`, one `probabilities`
+    and one `contributions` call serve every record, and no chunk's results are
+    yielded before the whole chunk has been read. So memory follows the chunk, not
+    the input, and an input that fails partway yields every chunk before the fault.
+    A model without keywords raises here, before any record is taken.
     """
-    grouping = model.grouping
-    if grouping is None:
+    if model.grouping is None:
         raise InputError("model carries no keywords; cannot score raw text")
-    features = [(r, extract_features(r, grouping)) for r in records]
-    patterns, rows = pattern_table((fv.bits for _, fv in features), len(grouping.names))
-    probs = probabilities(model, patterns).tolist()
-    terms = [dict(zip(grouping.names, t)) for t in contributions(model, patterns).tolist()]
-    return [
-        ScoreResult(
-            id=record.id,
-            probability=probs[i],
-            matched_keywords=tuple(sorted(fv.matched_keywords)),
-            bits=fv.bits,
-            contributions=dict(terms[i]),
-            flags=() if tokenize(record.text) else ("no_text",),
-        )
-        for (record, fv), i in zip(features, rows.tolist())
-    ]
+    return _score_chunks(model, iter(records))
+
+
+def _score_chunks(model: FittedModel, records: Iterator[AppRecord]) -> Iterator[ScoreResult]:
+    grouping = model.grouping
+    while chunk := list(islice(records, SCORE_CHUNK)):
+        features = [extract_features(r, grouping) for r in chunk]
+        patterns, rows = pattern_table((fv.bits for fv in features), len(grouping.names))
+        probs = probabilities(model, patterns).tolist()
+        terms = [dict(zip(grouping.names, t)) for t in contributions(model, patterns).tolist()]
+        for record, fv, i in zip(chunk, features, rows.tolist()):
+            yield ScoreResult(
+                id=record.id,
+                probability=probs[i],
+                matched_keywords=tuple(sorted(fv.matched_keywords)),
+                bits=fv.bits,
+                contributions=dict(terms[i]),
+                flags=() if tokenize(record.text) else ("no_text",),
+            )
+        del chunk, features  # so the next chunk is read without this one held
+
+
+def score_records(model: FittedModel, records) -> list[ScoreResult]:
+    """Every result of `iter_scores`, as a list: one per record, in input order, each
+    with its own copy of its pattern's contributions dict."""
+    return list(iter_scores(model, records))

@@ -43,7 +43,7 @@ def tokenize(text: str) -> list[str]:
     return [t.casefold() for t in _TOKEN_RE.findall(text)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AppRecord:
     """One store listing: the unit of analysis, and the one holder of the value rules."""
 

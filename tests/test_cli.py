@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import json
 import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from gamiscreen.cli import main
 from gamiscreen.evaluation import calibration_strata, calibration_to_dict, roc_auc
 from gamiscreen.logit import load_model
-from gamiscreen.pipeline import ingest, run_study, score_records
+from gamiscreen.pipeline import SCORE_CHUNK, ingest, run_study, score_records
 
 from conftest import stdin_text, synthetic_corpus
 
@@ -372,18 +374,22 @@ def test_evaluate_model_without_seed(corpus_csv, capsys):
     assert main(argv + ["--split", "all"]) == 0
 
 
+def _model_without_keywords(path) -> Path:
+    doc = json.loads(resources.files("gamiscreen.data").joinpath("pretrained_model.json")
+                     .read_text(encoding="utf-8"))
+    for variable in doc["variables"]:
+        variable["keywords"] = []
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize("command", [
     ["score", "--input"],
     ["evaluate", "--dataset"],
     ["evaluate", "--split", "validation", "--seed", "7", "--dataset"],
 ], ids=["score", "evaluate", "evaluate validation"])
 def test_model_without_keywords_is_refused(corpus_csv, tmp_path, capsys, command):
-    doc = json.loads(resources.files("gamiscreen.data").joinpath("pretrained_model.json")
-                     .read_text(encoding="utf-8"))
-    for variable in doc["variables"]:
-        variable["keywords"] = []
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc), encoding="utf-8")
+    model = _model_without_keywords(tmp_path / "model.json")
     assert main([*command, str(corpus_csv), "--model", str(model)]) == 2
     assert "model carries no keywords" in capsys.readouterr().err
 
@@ -434,28 +440,139 @@ def test_score_stdin_matches_csv(corpus_csv, monkeypatch, capsys):
     assert from_stdin == from_csv
 
 
-def test_score_lines_are_the_bytes_of_to_dict(tmp_path, capsys):
+def _two_coefficient_model(path) -> Path:
     # Quiz and Game have one coefficient, so their patterns share a probability but
     # not their contributions; the non-ASCII name and keyword show `ensure_ascii`.
     variables = [("\u00c9toile", ["\u00e9toile"], 0.5), ("Quiz", ["quiz", "quizzes"], 1.5),
                  ("Game", ["game"], 1.5)]
-    model = tmp_path / "model.json"
-    model.write_bytes(_doc({"format_version": 1, "intercept": -1.0, "variables": [
+    path.write_bytes(_doc({"format_version": 1, "intercept": -1.0, "variables": [
         {"name": n, "keywords": k, "coefficient": c, "standard_error": 0.5}
         for n, k, c in variables]}))
+    return path
+
+
+def _assert_lines_are_the_bytes_of_to_dict(model, listings, capsys):
+    results = score_records(load_model(model), ingest(listings).records)
+    assert type(results) is list
+    for explain in (False, True):
+        assert main(["score", "--model", str(model), "--input", str(listings),
+                     *(["--explain"] if explain else [])]) == 0
+        assert capsys.readouterr().out == "".join(
+            json.dumps(r.to_dict(explain)) + "\n" for r in results)
+    return results
+
+
+def test_score_lines_are_the_bytes_of_to_dict(tmp_path, capsys):
+    model = _two_coefficient_model(tmp_path / "model.json")
     texts = [("q\"1\\\u00fc", "Quiz time"), ("g1", "GAME on"), ("q2", "quizzes, and a quiz"),
              ("e1", "\u00c9toile du QUIZ: game"), ("n1", ""), ("z1", "nothing here"),
              ("e2", "\u00e9toile"), ("g2", "game")]
     listings = tmp_path / "listings.json"
     listings.write_bytes(_doc([{"id": i, "store": "ios", "title": "", "description": d}
                                for i, d in texts]))
-    results = score_records(load_model(model), ingest(listings).records)
+    results = _assert_lines_are_the_bytes_of_to_dict(model, listings, capsys)
     assert results[0].probability == results[1].probability and results[4].flags == ("no_text",)
-    for explain in (False, True):
-        assert main(["score", "--model", str(model), "--input", str(listings),
-                     *(["--explain"] if explain else [])]) == 0
-        assert capsys.readouterr().out == "".join(
-            json.dumps(r.to_dict(explain)) + "\n" for r in results)
+
+
+def test_score_lines_are_the_bytes_of_to_dict_across_chunks(tmp_path, capsys):
+    # Over two chunks and a part: the first chunk's patterns recur in the later ones, one
+    # pattern and the only empty listing first appear in the third.
+    model = _two_coefficient_model(tmp_path / "model.json")
+    texts = ["Quiz time", "GAME on", "quizzes, and a game", "nothing here", "\u00fcber quiz"]
+    n = 2 * SCORE_CHUNK + 300
+    rows = [(f"r{i}", texts[i % len(texts)]) for i in range(n)]
+    rows[2 * SCORE_CHUNK + 5] = ("empty", "")
+    rows[2 * SCORE_CHUNK + 9] = ("\u00e9t\u00e9", "\u00c9toile game")
+    listings = tmp_path / "listings.csv"
+    with open(listings, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "store", "title", "description"])
+        w.writerows((i, "ios", "", d) for i, d in rows)
+    results = _assert_lines_are_the_bytes_of_to_dict(model, listings, capsys)
+    assert len(results) == n
+    assert [r.id for r in results if r.flags] == ["empty"]
+    assert {r.bits for r in results[SCORE_CHUNK:]} - {r.bits for r in results[:SCORE_CHUNK]} \
+        == {results[2 * SCORE_CHUNK + 9].bits}
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("x,symbian,T,quiz", f"row {SCORE_CHUNK + 12}: unknown store: 'symbian'"
+     " (expected android, ios or other)"),
+    ("r5,ios,T,quiz", "duplicate record id: 'r5'"),
+], ids=["bad row", "duplicate id"])
+def test_score_fault_after_the_first_chunk(tmp_path, capsys, fault, message):
+    # The lines of every chunk read before the fault are written, then the command exits 2.
+    rows = [f"r{i},ios,Quiz,{'track your diary' if i % 3 else 'multiplayer game'}"
+            for i in range(SCORE_CHUNK + 10)]
+    listings, first_chunk = tmp_path / "listings.csv", tmp_path / "first.csv"
+    for path, lines in ((listings, [*rows, fault]), (first_chunk, rows[:SCORE_CHUNK])):
+        path.write_text("\n".join(["id,store,title,description", *lines]) + "\n",
+                        encoding="utf-8")
+    assert main(["score", "--input", str(first_chunk)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["score", "--input", str(listings)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    assert out == expected and len(out.splitlines()) == SCORE_CHUNK
+
+
+def test_score_model_without_keywords_reads_no_input(tmp_path, monkeypatch, capsys):
+    model = _model_without_keywords(tmp_path / "model.json")
+    # Neither a missing file (exit 4 once opened) nor a bad stdin line is reached.
+    monkeypatch.setattr("sys.stdin", stdin_text("{bad json\n"))
+    for source in (str(tmp_path / "missing.csv"), "-"):
+        assert main(["score", "--model", str(model), "--input", source, "--explain"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: model carries no keywords; cannot score raw text\n"
+
+
+def test_first_fault_in_the_file_fails_every_command(tmp_path, capsys):
+    # A repeated id before a bad row fails on the id, and a bad row before it on the row.
+    bundled = str(resources.files("gamiscreen.data").joinpath("pretrained_model.json"))
+    path = tmp_path / "in.csv"
+    for rows, message in ((["a,ios,T,quiz,1", "a,ios,T,game,0", "b,symbian,T,x,1"],
+                           "duplicate record id: 'a'"),
+                          (["a,ios,T,quiz,1", "b,symbian,T,x,1", "a,ios,T,game,0"],
+                           "row 3: unknown store: 'symbian'")):
+        path.write_text("\n".join(["id,store,title,description,gamification_label", *rows])
+                        + "\n", encoding="utf-8")
+        for argv in (["ingest", str(path), "--out", str(tmp_path / "o.json")],
+                     ["train", "--dataset", str(path), "--out", str(tmp_path / "m.json")],
+                     ["evaluate", "--model", bundled, "--dataset", str(path)],
+                     ["score", "--input", str(path)]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {message}")
+
+
+def _listings(path, n: int) -> Path:
+    """n listings of about 80 tokens each, drawing on a few keyword patterns."""
+    filler = " ".join(f"word{j}" for j in range(75))
+    keywords = ["", "quiz", "track your diary", "multiplayer game", "daily fun story"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "store", "title", "description"])
+        w.writerows((f"app{i:05d}", "ios", "Sample App", f"{filler} {keywords[i % 5]}")
+                    for i in range(n))
+    return path
+
+
+def test_score_memory_is_flat_in_n(tmp_path):
+    # The tracemalloc peak may grow by the id set and the encoded patterns only, well under
+    # 0.5 KB for each extra record; holding every record and result costs several KB.
+    peaks = {}
+    for n in (1_000, 10_000):
+        listings = _listings(tmp_path / f"listings-{n}.csv", n)
+        with open(tmp_path / "scores.jsonl", "w", encoding="utf-8") as fh, \
+                contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                assert main(["score", "--explain", "--input", str(listings)]) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len((tmp_path / "scores.jsonl").read_bytes().splitlines()) == n
+    assert peaks[10_000] - peaks[1_000] < 512 * 9_000
 
 
 def test_train_from_csv_matches_dataset_file(corpus_csv, tmp_path, capsys):

@@ -20,11 +20,14 @@ from gamiscreen.errors import (
 )
 from gamiscreen.logit import FittedModel, predict, probabilities
 from gamiscreen.pipeline import (
+    SCORE_CHUNK,
     Dataset,
     SplitPlan,
     ingest,
+    iter_scores,
     load_dataset,
     pattern_table,
+    read_records,
     run_study,
     save_dataset,
     score_records,
@@ -73,6 +76,16 @@ class TestIngest:
         with pytest.raises(DuplicateIdError) as exc:
             ingest(path)
         assert exc.value.record_id == "a"
+
+    def test_reader_yields_the_records_before_a_fault(self, tmp_path):
+        path = tmp_path / "in.csv"
+        rows = [{"id": f"r{i}", "store": "ios", "title": "", "description": "quiz"}
+                for i in range(5)]
+        write_csv(path, rows + [rows[3]])
+        records = read_records(path)
+        assert [next(records).id for _ in range(5)] == [f"r{i}" for i in range(5)]
+        with pytest.raises(DuplicateIdError, match="'r3'"):
+            next(records)
 
     def test_unknown_store(self, tmp_path):
         path = tmp_path / "in.csv"
@@ -222,6 +235,11 @@ class TestIngest:
         out = tmp_path / "dataset.json"
         save_dataset(Dataset(records=records), out)
         assert load_dataset(out).records == records
+        # Records are slotted, so each field is written from `fields(AppRecord)`, in order.
+        assert not hasattr(records[0], "__dict__")
+        assert list(json.loads(out.read_text(encoding="utf-8"))["records"][0]) == [
+            "id", "store", "title", "description", "gamification_label", "app_type",
+            "language"]
 
     def test_stdin_json_lines(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", stdin_text(
@@ -533,6 +551,22 @@ class TestScore:
 
     def test_no_records(self, pretrained):
         assert score_records(pretrained, []) == []
+
+    def test_one_table_per_chunk(self, pretrained, small_corpus, monkeypatch):
+        whole = score_records(pretrained, small_corpus.records)
+        assert type(whole) is list and len(whole) == 900 <= SCORE_CHUNK
+        calls = []
+        monkeypatch.setattr("gamiscreen.pipeline.probabilities",
+                            lambda model, X: calls.append(len(X)) or probabilities(model, X))
+        monkeypatch.setattr("gamiscreen.pipeline.SCORE_CHUNK", 400)
+        consumed = []
+        stream = iter_scores(pretrained, (consumed.append(r) or r for r in small_corpus.records))
+        assert consumed == [] and calls == []
+        # The first result comes after one chunk has been read and tabulated, not before.
+        first = next(stream)
+        assert len(consumed) == 400 and len(calls) == 1
+        assert [first, *stream] == whole
+        assert len(consumed) == 900 and len(calls) == 3
 
     def test_one_shot_iterator(self, pretrained, small_corpus):
         records = small_corpus.records[:200]
