@@ -21,7 +21,7 @@ from .evaluation import (
     roc_csv,
     roc_svg,
 )
-from .pipeline import ingest, iter_scores, load_dataset, read_records, run_study, save_dataset
+from .pipeline import ingest, load_dataset, read_records, run_study, save_dataset
 from .pipeline import score_records  # noqa: F401  (the benchmark's traced pass wraps it here)
 from .textfeatures import extract_features, load_lexicon_file
 
@@ -130,29 +130,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_score(args) -> int:
     model = logit.load_model(args.model) if args.model else logit.pretrained_model()
-    results = iter_scores(model, read_records(args.input))
-    # One stream, reader -> scorer -> writer: a chunk's lines are written before the next
-    # chunk is read, so memory does not grow with the input, and a fault partway through
-    # exits after the lines of every chunk before it. Each line is
-    # `json.dumps(result.to_dict(args.explain))`, built from parts. The probability and
-    # contributions follow from the bits, and the flags from the text, so each distinct
-    # (bits, flags) pair is encoded once, and each keyword once per run.
-    keywords = {k: json.dumps(k) for k in model.grouping.all_keywords} if args.explain else {}
-    patterns: dict[tuple, tuple[str, str]] = {}
-    write = sys.stdout.write
-    for r in results:
-        key = (r.bits, r.flags)
-        encoded = patterns.get(key)
-        if encoded is None:
-            probability, flags = json.dumps(r.probability), json.dumps(list(r.flags))
-            encoded = patterns[key] = (
-                f', "probability": {probability}, "flags": {flags}',
-                f', "contributions": {json.dumps(r.contributions)}}}\n' if args.explain else "}\n")
-        head, tail = encoded
-        if args.explain:
-            matched = ", ".join([keywords[k] for k in r.matched_keywords])
-            head = f'{head}, "matched_keywords": [{matched}]'
-        write(f'{{"id": {json.dumps(r.id)}{head}{tail}')
+    pipeline.write_scores(model, read_records(args.input), sys.stdout.write, args.explain)
     return EXIT_OK
 
 

@@ -55,7 +55,7 @@ from .textfeatures import (
 )
 
 ALPHA = 0.05                     # strict selection keeps univariate p < ALPHA
-SCORE_CHUNK = 1024               # records that `iter_scores` reads before it yields
+SCORE_CHUNK = 1024               # records scored and written together
 
 REQUIRED_COLUMNS = ("id", "store", "title", "description")
 READ_COLUMNS = REQUIRED_COLUMNS + ("gamification_label", "app_type", "language")
@@ -446,38 +446,60 @@ class ScoreResult:
 def iter_scores(model: FittedModel, records) -> Iterator[ScoreResult]:
     """Score app records against the model's own keyword grouping, as they are read.
 
-    Yields one result per record, in input order. The records are taken
-    ``SCORE_CHUNK`` at a time; per chunk one `pattern_table`, one `probabilities`
-    and one `contributions` call serve every record, and no chunk's results are
-    yielded before the whole chunk has been read. So memory follows the chunk, not
-    the input, and an input that fails partway yields every chunk before the fault.
-    A model without keywords raises here, before any record is taken.
+    Yields one result per record, in input order, each with its own contributions dict, once
+    its chunk of `_score_chunks` has been read whole: an input that fails partway yields every
+    chunk before the fault. A model without keywords raises here, before any record is taken.
     """
+    chunks, names = _score_chunks(model, records), model.grouping.names
+    return (ScoreResult(record.id, probs[row], tuple(sorted(fv.matched_keywords)), fv.bits,
+                        dict(zip(names, terms[row])), flag)
+            for chunk, features, rows, flags, probs, terms in chunks
+            for record, fv, row, flag in zip(chunk, features, rows, flags))
+
+
+def write_scores(model: FittedModel, records, write, explain: bool) -> None:
+    """Pass `score`'s lines to `write`, one call per chunk of `_score_chunks` before the next
+    is read; each line is ``json.dumps(result.to_dict(explain))`` for a result of `iter_scores`.
+
+    Each distinct (bits, flags) pair is encoded once, as the probability and contributions
+    follow from the bits and the flags from the text, and each keyword once per run. A model
+    without keywords raises before any record is read.
+    """
+    chunks, names = _score_chunks(model, records), model.grouping.names
+    keywords = {k: json.dumps(k) for k in model.grouping.all_keywords} if explain else {}
+    encoded: dict[tuple, tuple[str, str]] = {}
+    for chunk, features, rows, flags, probs, terms in chunks:
+        lines = []
+        for record, fv, row, flag in zip(chunk, features, rows, flags):
+            head, tail = encoded.get((fv.bits, flag)) or encoded.setdefault((fv.bits, flag), (
+                f', "probability": {json.dumps(probs[row])}, "flags": {json.dumps(list(flag))}',
+                f', "contributions": {json.dumps(dict(zip(names, terms[row])))}}}\n'
+                if explain else "}\n"))
+            if explain:
+                matched = ", ".join([keywords[k] for k in sorted(fv.matched_keywords)])
+                head = f'{head}, "matched_keywords": [{matched}]'
+            lines.append(f'{{"id": {json.dumps(record.id)}{head}{tail}')
+        write("".join(lines))
+
+
+def _score_chunks(model: FittedModel, records) -> Iterator[tuple]:
+    """Check the model, then per ``SCORE_CHUNK`` records yield them, their features, pattern
+    rows and flags, and each pattern's probability and contributions (one call each)."""
     if model.grouping is None:
         raise InputError("model carries no keywords; cannot score raw text")
-    return _score_chunks(model, iter(records))
+    return _chunks(model, iter(records))
 
 
-def _score_chunks(model: FittedModel, records: Iterator[AppRecord]) -> Iterator[ScoreResult]:
-    grouping = model.grouping
+def _chunks(model: FittedModel, records: Iterator[AppRecord]) -> Iterator[tuple]:
     while chunk := list(islice(records, SCORE_CHUNK)):
-        features = [extract_features(r, grouping) for r in chunk]
-        patterns, rows = pattern_table((fv.bits for fv in features), len(grouping.names))
-        probs = probabilities(model, patterns).tolist()
-        terms = [dict(zip(grouping.names, t)) for t in contributions(model, patterns).tolist()]
-        for record, fv, i in zip(chunk, features, rows.tolist()):
-            yield ScoreResult(
-                id=record.id,
-                probability=probs[i],
-                matched_keywords=tuple(sorted(fv.matched_keywords)),
-                bits=fv.bits,
-                contributions=dict(terms[i]),
-                flags=() if tokenize(record.text) else ("no_text",),
-            )
-        del chunk, features  # so the next chunk is read without this one held
+        features = [extract_features(r, model.grouping) for r in chunk]
+        patterns, rows = pattern_table((fv.bits for fv in features), len(model.grouping.names))
+        flags = [() if tokenize(r.text) else ("no_text",) for r in chunk]
+        yield (chunk, features, rows.tolist(), flags, probabilities(model, patterns).tolist(),
+               contributions(model, patterns).tolist())
+        del chunk[:], features[:]  # emptied in place: no consumer holds them during the next read
 
 
 def score_records(model: FittedModel, records) -> list[ScoreResult]:
-    """Every result of `iter_scores`, as a list: one per record, in input order, each
-    with its own copy of its pattern's contributions dict."""
+    """Every result of `iter_scores`, as a list: one per record, in input order."""
     return list(iter_scores(model, records))

@@ -124,7 +124,7 @@ class VariableGrouping:
                 raise InputError(f"variable {name!r} reuses keywords: {sorted(overlap)}")
             seen |= members
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.variables)
 

@@ -451,9 +451,15 @@ def _two_coefficient_model(path) -> Path:
     return path
 
 
-def _assert_lines_are_the_bytes_of_to_dict(model, listings, capsys):
+def _refuse(*args, **kwargs):
+    raise AssertionError("the score command built a ScoreResult")
+
+
+def _assert_lines_are_the_bytes_of_to_dict(model, listings, capsys, monkeypatch):
     results = score_records(load_model(model), ingest(listings).records)
     assert type(results) is list
+    # The command encodes its lines from the chunks, without a result per record.
+    monkeypatch.setattr("gamiscreen.pipeline.ScoreResult", _refuse)
     for explain in (False, True):
         assert main(["score", "--model", str(model), "--input", str(listings),
                      *(["--explain"] if explain else [])]) == 0
@@ -462,7 +468,7 @@ def _assert_lines_are_the_bytes_of_to_dict(model, listings, capsys):
     return results
 
 
-def test_score_lines_are_the_bytes_of_to_dict(tmp_path, capsys):
+def test_score_lines_are_the_bytes_of_to_dict(tmp_path, capsys, monkeypatch):
     model = _two_coefficient_model(tmp_path / "model.json")
     texts = [("q\"1\\\u00fc", "Quiz time"), ("g1", "GAME on"), ("q2", "quizzes, and a quiz"),
              ("e1", "\u00c9toile du QUIZ: game"), ("n1", ""), ("z1", "nothing here"),
@@ -470,11 +476,11 @@ def test_score_lines_are_the_bytes_of_to_dict(tmp_path, capsys):
     listings = tmp_path / "listings.json"
     listings.write_bytes(_doc([{"id": i, "store": "ios", "title": "", "description": d}
                                for i, d in texts]))
-    results = _assert_lines_are_the_bytes_of_to_dict(model, listings, capsys)
+    results = _assert_lines_are_the_bytes_of_to_dict(model, listings, capsys, monkeypatch)
     assert results[0].probability == results[1].probability and results[4].flags == ("no_text",)
 
 
-def test_score_lines_are_the_bytes_of_to_dict_across_chunks(tmp_path, capsys):
+def test_score_lines_are_the_bytes_of_to_dict_across_chunks(tmp_path, capsys, monkeypatch):
     # Over two chunks and a part: the first chunk's patterns recur in the later ones, one
     # pattern and the only empty listing first appear in the third.
     model = _two_coefficient_model(tmp_path / "model.json")
@@ -488,7 +494,7 @@ def test_score_lines_are_the_bytes_of_to_dict_across_chunks(tmp_path, capsys):
         w = csv.writer(fh)
         w.writerow(["id", "store", "title", "description"])
         w.writerows((i, "ios", "", d) for i, d in rows)
-    results = _assert_lines_are_the_bytes_of_to_dict(model, listings, capsys)
+    results = _assert_lines_are_the_bytes_of_to_dict(model, listings, capsys, monkeypatch)
     assert len(results) == n
     assert [r.id for r in results if r.flags] == ["empty"]
     assert {r.bits for r in results[SCORE_CHUNK:]} - {r.bits for r in results[:SCORE_CHUNK]} \

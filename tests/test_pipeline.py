@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import tracemalloc
+from dataclasses import replace
 from datetime import datetime
 from random import Random
 
@@ -23,6 +24,7 @@ from gamiscreen.pipeline import (
     SCORE_CHUNK,
     Dataset,
     SplitPlan,
+    _score_chunks,
     ingest,
     iter_scores,
     load_dataset,
@@ -33,6 +35,7 @@ from gamiscreen.pipeline import (
     score_records,
     split,
     split_rows,
+    write_scores,
 )
 from gamiscreen.textfeatures import AppRecord, VariableGrouping, extract_features
 
@@ -567,6 +570,52 @@ class TestScore:
         assert len(consumed) == 400 and len(calls) == 1
         assert [first, *stream] == whole
         assert len(consumed) == 900 and len(calls) == 3
+
+    def test_model_without_keywords_takes_no_record(self, pretrained):
+        model, taken, writes = replace(pretrained, grouping=None), [], []
+        records = (taken.append(r) or r for r in [AppRecord(id="a", store="ios")])
+        for score in (iter_scores, lambda m, rs: write_scores(m, rs, writes.append, True)):
+            with pytest.raises(InputError, match="model carries no keywords"):
+                score(model, records)
+        assert taken == [] and writes == []
+
+    @pytest.mark.parametrize("explain", [False, True])
+    def test_writer_writes_each_chunk_once(self, pretrained, monkeypatch, explain):
+        # Three chunks of 4, 4 and 3: the first listing's pattern recurs in the last chunk,
+        # which also holds the only listing without text.
+        monkeypatch.setattr("gamiscreen.pipeline.SCORE_CHUNK", 4)
+        texts = ["quiz time", "multiplayer game", "track your diary", "nothing here",
+                 "daily story", "Quiz and GAME", "level up", "badges \u00e9toile",
+                 "more text", "", "a quiz"]
+        records = [AppRecord(id=f"r{i}\u00e9", store="ios", description=t)
+                   for i, t in enumerate(texts)]
+        results = score_records(pretrained, records)
+        assert results[10].bits == results[0].bits and results[9].flags == ("no_text",)
+        assert [r.id for r in results if r.flags] == ["r9\u00e9"]
+        writes = []
+        write_scores(pretrained, iter(records), writes.append, explain)
+        assert [w.count("\n") for w in writes] == [4, 4, 3]
+        assert "".join(writes) == "".join(json.dumps(r.to_dict(explain)) + "\n"
+                                          for r in results)
+
+    def test_each_chunk_is_emptied_before_the_next_is_read(self, pretrained, small_corpus,
+                                                          monkeypatch):
+        # A consumer may still hold a chunk's records and features while it asks for the
+        # next chunk; the step empties both lists first, so they hold nothing.
+        monkeypatch.setattr("gamiscreen.pipeline.SCORE_CHUNK", 400)
+        held, lengths = [], []
+
+        def records():
+            for i, r in enumerate(small_corpus.records):
+                if i == 400:
+                    lengths.append([len(x) for x in held])
+                yield r
+
+        chunks = _score_chunks(pretrained, records())
+        held.extend(next(chunks)[:2])
+        assert [len(x) for x in held] == [400, 400]
+        next(chunks)
+        assert lengths == [[0, 0]]
 
     def test_one_shot_iterator(self, pretrained, small_corpus):
         records = small_corpus.records[:200]

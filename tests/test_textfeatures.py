@@ -68,6 +68,10 @@ class TestDefaultGrouping:
     def test_variable_order(self, grouping):
         assert grouping.names == VARIABLE_ORDER
 
+    def test_names_are_built_once(self):
+        g = VariableGrouping(variables=(("A", frozenset({"game"})), ("B", frozenset({"quiz"}))))
+        assert g.names == ("A", "B") and g.names is g.names
+
     def test_members(self, grouping):
         assert grouping.members("Activity Tracking") == frozenset(
             {"log", "logging", "measure", "monitor", "track", "tracking"})
