@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import json
@@ -18,6 +19,8 @@ from gamiscreen.logit import load_model
 from gamiscreen.pipeline import SCORE_CHUNK, ingest, run_study, score_records
 
 from conftest import stdin_text, synthetic_corpus
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -145,35 +148,78 @@ def test_repeated_json_field_is_input_error(tmp_path, monkeypatch, capsys):
     assert main(["score"]) == 0
 
 
-_SCIPY_PROBE = """
-import sys
+def _scipy_modules_probe(steps: str) -> str:
+    """A fresh-interpreter script: run `steps`, then print what each `record(...)` saw of scipy."""
+    return ("import json, sys\nloaded = {}\n"
+            "def record(step):\n"
+            "    loaded[step] = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            f"{steps}\nprint(json.dumps(loaded))\n")
+
+
+def _run_probe(script: str, *args) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def _benchmark_setup_code() -> str:
+    """`SETUP_CODE` of `perfbench/bench.py`, the line whose fresh-interpreter time is `setup_s`."""
+    tree = ast.parse((ROOT / "perfbench" / "bench.py").read_text(encoding="utf-8"))
+    return next(node.value.value for node in tree.body if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "SETUP_CODE")
+
+
+_SCORING_STEPS = """
+setup, listings, model, dataset = sys.argv[1:]
+exec(setup)
+record("setup")
 from gamiscreen import cli
 from gamiscreen.evaluation import calibration_strata, roc_auc
-assert cli.main(["score", "--explain", "--input", sys.argv[1]]) == 0
+assert cli.main(["score", "--explain", "--input", listings]) == 0
+record("score --explain")
+assert cli.main(["evaluate", "--model", model, "--dataset", dataset, "--split", "all"]) == 0
+record("evaluate --split all")
 p, y = [0.1, 0.2, 0.2, 0.4, 0.6, 0.7, 0.7, 0.9], [0, 0, 1, 0, 1, 0, 1, 1]
 roc_auc(p, y)
 calibration_strata(p, y)
-print(sorted(m for m, mod in sys.modules.items() if m.startswith("scipy.")
-             and m.count(".") == 1 and not m.startswith("scipy._") and hasattr(mod, "__path__")))
+record("roc + calibration")
 """
 
 
-def test_scoring_loads_no_scipy_subpackage_but_special(tmp_path):
-    """`score` and ROC + calibration, in a fresh interpreter, import `scipy.special` alone.
-
-    `train` is left out: a fit may import a solver where it calls it.
-    """
+def test_scoring_and_evaluation_load_no_scipy(tmp_path):
+    """In a fresh interpreter, set-up, `score`, `evaluate` and ROC + calibration import no scipy."""
     listings = tmp_path / "listings.csv"
     listings.write_text("id,store,title,description\n1,ios,Quiz,Track your quiz progress\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(listings)], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-1] == "['scipy.special']"
+    dataset = tmp_path / "dataset.csv"
+    rows = ["quiz game", "quiz", "game", "\u00e9toile", "diary", "quiz \u00e9toile", "notes", "game"]
+    dataset.write_text("id,store,title,description,gamification_label\n" + "".join(
+        f"{i},ios,App,{text},{int(i < 4)}\n" for i, text in enumerate(rows)), encoding="utf-8")
+    model = _two_coefficient_model(tmp_path / "model.json")
+    loaded = _run_probe(_scipy_modules_probe(_SCORING_STEPS), _benchmark_setup_code(),
+                        listings, model, dataset)
+    assert loaded == {step: [] for step in (
+        "setup", "score --explain", "evaluate --split all", "roc + calibration")}
+
+
+_TRAIN_STEPS = """
+from gamiscreen import cli
+assert cli.main(["train", "--dataset", sys.argv[1], "--seed", "1", "--out", sys.argv[2]]) == 0
+record("train")
+loaded["subpackages"] = [m for m in loaded["train"] if m.count(".") == 1
+                         and not m.startswith("scipy._") and hasattr(sys.modules[m], "__path__")]
+"""
+
+
+def test_train_loads_scipy_special_alone(corpus_csv, tmp_path):
+    """`train` imports `scipy.special` for its p-values, and no other scipy subpackage."""
+    loaded = _run_probe(_scipy_modules_probe(_TRAIN_STEPS), corpus_csv, tmp_path / "model.json")
+    assert loaded["subpackages"] == ["scipy.special"]
 
 
 def test_score_reads_the_process_stdin(monkeypatch, capsys):
     """`python -m gamiscreen score` decodes the bytes of its own stdin as `ingest` does."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
     def score(stdin: bytes):
         return subprocess.run([sys.executable, "-m", "gamiscreen", "score", "--explain"],

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import expit
 from scipy.stats import norm  # the reference for the p-values; the package calls `ndtr`
 
+from gamiscreen import logit
 from gamiscreen.errors import (
     ArityMismatchError,
     DegenerateColumnError,
@@ -360,6 +361,20 @@ class TestProbabilities:
         dot = np.array([expit(b0 + float(np.dot(beta, bits))) for bits in ALL_PATTERNS])
         assert np.abs(probabilities(pretrained, ALL_PATTERNS) - dot).max() <= 4.5e-16
 
+    def test_bit_identical_to_scipy_expit(self, pretrained):
+        oracle = expit(pretrained.intercept + contributions(pretrained, ALL_PATTERNS).sum(axis=1))
+        assert np.array_equal(probabilities(pretrained, ALL_PATTERNS), oracle)
+        # a fitted 3-variable model scoring a Fortran-ordered column selection
+        rng = np.random.default_rng(9)
+        X = (rng.random((600, 6)) < 0.4).astype(float)
+        cols = [4, 1, 2]
+        y = (rng.random(600) < expit(-0.5 + X[:, cols] @ [1.2, -0.7, 0.4])).astype(float)
+        fitted = fit_logistic(X[:, cols], y)
+        selected = X[:, cols]
+        assert not selected.flags.c_contiguous
+        oracle = expit(fitted.intercept + contributions(fitted, selected).sum(axis=1))
+        assert np.array_equal(probabilities(fitted, selected), oracle)
+
     def test_contributions_are_c_ordered_terms(self, pretrained):
         terms = contributions(pretrained, np.asfortranarray(ALL_PATTERNS))
         assert terms.flags.c_contiguous and terms.dtype == float
@@ -372,6 +387,32 @@ class TestProbabilities:
         rows[1, 4] = 2
         with pytest.raises(InputError, match="0 or 1"):
             probabilities(pretrained, rows)
+
+
+class TestExpit:
+    """The package's `expit` is `scipy.special.expit` bit for bit: scoring bytes do not change."""
+
+    def test_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(22)
+        sub, tiny = np.finfo(float).smallest_subnormal, np.finfo(float).tiny
+        x = np.concatenate([
+            rng.normal(0.0, 10.0, 100_000),
+            rng.uniform(-750.0, 750.0, 100_000),
+            np.linspace(-745.2, -709.0, 100_001),  # where exp(-x) overflows
+            [np.inf, -np.inf, np.nan, 0.0, -0.0, sub, -sub, tiny, -tiny, tiny / 3, -tiny / 3],
+        ])
+        assert np.array_equal(logit.expit(x), expit(x), equal_nan=True)
+
+    @pytest.mark.parametrize("x", [
+        np.array(-800.0),
+        np.array([0.5, -0.0, np.nan, np.inf]),
+        np.array([[1.0, -2.0, 3.0], [-745.0, 710.0, -710.0]]),
+        [3, -1, 0],
+    ], ids=["0-d", "1-d", "2-d", "list"])
+    def test_float64_of_the_input_shape(self, x):
+        out = logit.expit(x)
+        assert out.dtype == np.float64 and out.shape == np.shape(x)
+        assert np.array_equal(out, expit(np.asarray(x, dtype=float)), equal_nan=True)
 
 
 class TestPretrainedModel:
