@@ -42,6 +42,7 @@ from .pipeline import (
     ScoreResult,
     SplitPlan,
     StudyReport,
+    evaluate,
     ingest,
     iter_scores,
     read_records,

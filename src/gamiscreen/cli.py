@@ -12,18 +12,10 @@ import sys
 
 from . import logit, pipeline
 from .errors import InputError, StatisticalError, read_json, require_fields
-from .evaluation import (
-    calibration_from_dict,
-    calibration_strata,
-    calibration_text,
-    calibration_to_dict,
-    roc_auc,
-    roc_csv,
-    roc_svg,
-)
+from .evaluation import calibration_from_dict, calibration_text, roc_auc, roc_csv, roc_svg
 from .pipeline import ingest, load_dataset, read_records, run_study, save_dataset
 from .pipeline import score_records  # noqa: F401  (the benchmark's traced pass wraps it here)
-from .textfeatures import extract_features, load_lexicon_file
+from .textfeatures import load_lexicon_file
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -99,32 +91,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = logit.load_model(args.model)
-    ds = load_dataset(args.dataset)
-    if model.grouping is None:
-        raise InputError("model carries no keywords; cannot score raw text")
-    labeled = ds.labeled()
-    if args.split != "all":
-        seed = model.seed if args.seed is None else args.seed
-        if seed is None:
-            raise InputError("model records no split seed; give --seed to evaluate the "
-                             f"{args.split} group")
-        # The group's rows, as `run_study` takes them: so the numbers equal the report's.
-        group = pipeline.split_rows(labeled, seed)[args.split == "validation"]
-        labeled = [labeled[i] for i in group]
-    patterns, rows = pipeline.pattern_table(
-        (extract_features(r, model.grouping).bits for r in labeled), len(model.grouping.names))
-    labels = [r.gamification_label for r in labeled]
-    probs = logit.probabilities(model, patterns)[rows]
-    roc = roc_auc(probs, labels)
-    calib = calibration_strata(probs, labels)
-    print(json.dumps({
-        "split": args.split,
-        "n": len(labels),
-        "auc": roc.auc,
-        "auc_ci_low": roc.auc_ci_low,
-        "auc_ci_high": roc.auc_ci_high,
-        "calibration": calibration_to_dict(calib),
-    }, indent=2))
+    doc = pipeline.evaluate(model, read_records(args.dataset), args.split, args.seed)
+    print(json.dumps(doc, indent=2))
     return EXIT_OK
 
 

@@ -326,13 +326,7 @@ class StudyReport:
             "selected_variables": list(self.model.feature_names),
             "model": logit.model_to_dict(self.model),
             "roc": {
-                group: {
-                    "auc": roc.auc,
-                    "auc_ci_low": roc.auc_ci_low,
-                    "auc_ci_high": roc.auc_ci_high,
-                    "n_pos": roc.n_pos,
-                    "n_neg": roc.n_neg,
-                }
+                group: {**_auc(roc), "n_pos": roc.n_pos, "n_neg": roc.n_neg}
                 for group, roc in (("generation", self.roc_generation),
                                    ("validation", self.roc_validation))
             },
@@ -347,6 +341,11 @@ class StudyReport:
         """Dump the report, as indented JSON, into the open text file `fh`."""
         json.dump(self.to_dict(), fh, indent=2)
         fh.write("\n")
+
+
+def _auc(roc) -> dict:
+    """The AUC block of a report group and of `evaluate`: the AUC and its 95% CI."""
+    return {"auc": roc.auc, "auc_ci_low": roc.auc_ci_low, "auc_ci_high": roc.auc_ci_high}
 
 
 @contextlib.contextmanager
@@ -422,6 +421,30 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
     )
 
 
+def evaluate(model: FittedModel, records, split: str = "all", seed: int | None = None) -> dict:
+    """The document `evaluate` prints: `model` judged on the labeled records of `records`, all
+    of them or the `split` group as `run_study` cuts it with `seed` (the model's own if None).
+    A model without keywords, an unknown `split` or a group split without a seed raises before
+    any record is taken."""
+    grouping = _keywords(model)
+    if split not in ("all", "generation", "validation"):
+        raise InputError(f"unknown split: {split!r}")
+    seed = model.seed if seed is None else seed
+    if split != "all" and seed is None:
+        raise InputError(f"model records no split seed; give --seed to evaluate the {split} group")
+    labeled = [r for r in records if r.gamification_label is not None]
+    if split != "all":
+        labeled = [labeled[i] for i in split_rows(labeled, seed)[split == "validation"]]
+    if not labeled:
+        raise TooFewRecordsError("no labeled records to evaluate")
+    patterns, rows = pattern_table((extract_features(r, grouping).bits for r in labeled),
+                                   len(grouping.names))
+    labels = [r.gamification_label for r in labeled]
+    probs = logit.probabilities(model, patterns)[rows]
+    return {"split": split, "n": len(labels), **_auc(roc_auc(probs, labels)),
+            "calibration": calibration_to_dict(calibration_strata(probs, labels))}
+
+
 # ---------------------------------------------------------------------------
 # Scoring
 # ---------------------------------------------------------------------------
@@ -485,9 +508,15 @@ def write_scores(model: FittedModel, records, write, explain: bool) -> None:
 def _score_chunks(model: FittedModel, records) -> Iterator[tuple]:
     """Check the model, then per ``SCORE_CHUNK`` records yield them, their features, pattern
     rows and flags, and each pattern's probability and contributions (one call each)."""
+    _keywords(model)
+    return _chunks(model, iter(records))
+
+
+def _keywords(model: FittedModel) -> VariableGrouping:
+    """The model's keyword grouping, which raw text is matched against; refused if it has none."""
     if model.grouping is None:
         raise InputError("model carries no keywords; cannot score raw text")
-    return _chunks(model, iter(records))
+    return model.grouping
 
 
 def _chunks(model: FittedModel, records: Iterator[AppRecord]) -> Iterator[tuple]:

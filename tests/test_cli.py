@@ -440,6 +440,39 @@ def test_model_without_keywords_is_refused(corpus_csv, tmp_path, capsys, command
     assert "model carries no keywords" in capsys.readouterr().err
 
 
+def test_evaluate_model_without_keywords_reads_no_input(tmp_path, capsys):
+    model = _model_without_keywords(tmp_path / "model.json")
+    # A missing dataset (exit 4 once opened) is not reached.
+    for split in (["--split", "all"], ["--split", "validation", "--seed", "7"]):
+        assert main(["evaluate", "--model", str(model),
+                     "--dataset", str(tmp_path / "missing.csv"), *split]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: model carries no keywords; cannot score raw text\n"
+
+
+def test_evaluate_dataset_without_labels_is_input_error(tmp_path, capsys):
+    bundled = str(resources.files("gamiscreen.data").joinpath("pretrained_model.json"))
+    unlabeled = tmp_path / "unlabeled.csv"
+    unlabeled.write_text("id,store,title,description\na,ios,Quiz,trivia game\n"
+                         "b,android,Diary,track your day\n", encoding="utf-8")
+    assert main(["evaluate", "--model", bundled, "--dataset", str(unlabeled)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no labeled records to evaluate\n"
+
+
+@pytest.mark.parametrize("split, seed", [("all", None), ("validation", None),
+                                         ("generation", 8)])
+def test_evaluate_prints_the_library_document(corpus_csv, tmp_path, capsys, split, seed):
+    import gamiscreen as g
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", str(corpus_csv), "--seed", "7", "--out", str(model)]) == 0
+    capsys.readouterr()
+    argv = ["evaluate", "--model", str(model), "--dataset", str(corpus_csv), "--split", split]
+    assert main(argv + (["--seed", str(seed)] if seed is not None else [])) == 0
+    doc = g.evaluate(g.load_model(model), g.read_records(corpus_csv), split, seed)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_model_file_with_byte_order_mark(corpus_csv, tmp_path, capsys):
     model, bom = tmp_path / "model.json", tmp_path / "bom.json"
     assert main(["train", "--dataset", str(corpus_csv), "--out", str(model)]) == 0
@@ -704,6 +737,12 @@ def test_report_table_prints_a_minimal_study(tmp_path, capsys):
     ("train", "--lexicon", _doc({"keywords": ["quiz", "game"],
                                  "variables": [{"name": "A", "keywords": ["quiz"]},
                                                {"name": "A", "keywords": ["game"]}]})),
+    ("train", "--lexicon", _doc({"keywords": ["quiz", "quiz"],
+                                 "variables": [{"name": "A", "keywords": ["quiz"]}]})),
+    ("train", "--lexicon", _doc({"keywords": ["quiz"],
+                                 "variables": [{"name": "A", "keywords": ["quiz", "game"]}]})),
+    ("train", "--lexicon", _doc({"keywords": ["quiz"],
+                                 "variables": [{"name": "A", "keywords": []}]})),
     *[("evaluate", "--model", _doc({"format_version": 1, "intercept": -1.0,
                                     "variables": [{**_MODEL_VARIABLE, "keywords": ["quiz"]}],
                                     "training": {"seed": seed}}))
@@ -725,6 +764,8 @@ def test_report_table_prints_a_minimal_study(tmp_path, capsys):
         *[f"model variable keyword {k!r}" for k in _BAD_KEYWORDS],
         *[f"lexicon variable keyword {k!r}" for k in _BAD_KEYWORDS],
         "model with duplicate variable names", "lexicon with duplicate variable names",
+        "lexicon with duplicate keywords", "lexicon variable keyword not in the lexicon",
+        "lexicon variable without keywords",
         *[f"model training seed {seed!r}" for seed in _BAD_SEEDS],
         "study dataset without counts", "study dataset count null",
         "study without validation ROC", "study AUC bound not a number",

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,6 +212,14 @@ class TestRoc:
     def test_nan_score_rejected(self):
         with pytest.raises(InputError, match="NaN"):
             roc_auc([0.1, float("nan"), 0.3, 0.9], [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.1, 0.9], [0, 1, 1]), ([[0.1, 0.9]], [[0, 1]]),
+    ], ids=["unequal length", "2-d"])
+    def test_scores_and_labels_shape_rejected(self, scores, labels):
+        with pytest.raises(InputError) as exc:
+            roc_auc(scores, labels)
+        assert str(exc.value) == "scores and labels must be equal-length 1-d arrays"
 
     def test_auc_cross_check_raises(self, monkeypatch):
         pair_count = evaluation._pair_count_auc
@@ -453,6 +462,17 @@ class TestAicCompare:
         with pytest.raises(IncomparableModelsError):
             aic_compare([a, (m, roc_auc(p, y))])
 
+    def test_model_without_aic_incomparable(self):
+        m, roc = self._fit_pair([0])
+        with pytest.raises(IncomparableModelsError) as exc:
+            aic_compare([(m, roc), (replace(m, aic=None), roc)])
+        assert str(exc.value) == "model 1 carries no AIC/n_obs"
+
+    def test_no_models_incomparable(self):
+        with pytest.raises(IncomparableModelsError) as exc:
+            aic_compare([])
+        assert str(exc.value) == "no models to compare"
+
 
 class TestCalibration:
     def test_published_shape_fixture(self):
@@ -671,6 +691,15 @@ class TestKappa:
     def test_degenerate(self):
         with pytest.raises(DegenerateAgreementError):
             cohen_kappa([1, 1, 1], [1, 1, 1])
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([0, 1, 1], [0, 1], "rating vectors differ in length"),
+        ([1], [1], "need at least 2 rated items"),
+    ], ids=["unequal length", "one item"])
+    def test_malformed_ratings_rejected(self, a, b, message):
+        with pytest.raises(InputError) as exc:
+            cohen_kappa(a, b)
+        assert str(exc.value) == message
 
     def test_ci_clamped(self):
         r = cohen_kappa([0, 1] * 3, [0, 1] * 3)

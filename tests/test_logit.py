@@ -126,6 +126,42 @@ class TestFit:
         with pytest.raises((SingularMatrixError, SeparationError)):
             fit_logistic(np.column_stack([x, x]), y, names=("a", "b"))
 
+    @pytest.mark.parametrize("X, y, names, message", [
+        (np.ones(4), np.ones(4), None, "feature matrix must be 2-dimensional"),
+        (np.ones((4, 1)), np.ones(3), None, "outcome length (3,) does not match 4 rows"),
+        (np.full((4, 1), 2.0), np.ones(4), None, "design matrix and outcome must be binary (0/1)"),
+        (np.ones((4, 1)), np.full(4, 0.5), None, "design matrix and outcome must be binary (0/1)"),
+        (np.ones((4, 2)), np.ones(4), ("a",), "1 names for 2 columns"),
+    ], ids=["X not 2-d", "outcome length", "X not binary", "y not binary", "name count"])
+    def test_malformed_design_rejected(self, X, y, names, message):
+        with pytest.raises(InputError) as exc:
+            fit_logistic(X, y, names=names)
+        assert str(exc.value) == message
+
+    def test_step_halving_recovers_from_an_overshoot(self, monkeypatch):
+        # No design found reaches step-halving on its own, so the first Newton step is
+        # made 8 times too long; halving must bring the fit back to the same optimum.
+        X, y = model_design(3000, seed=2)
+        solve, ll, evaluations, solves = logit._solve, logit.log_likelihood, [], []
+        monkeypatch.setattr(logit, "log_likelihood",
+                            lambda *args: evaluations.append(None) or ll(*args))
+        reference = fit_logistic(X, y)
+        # one evaluation at the start and one per accepted step: no halving
+        assert len(evaluations) == 1 + reference.iterations
+        evaluations.clear()
+        monkeypatch.setattr(logit, "_solve", lambda info, rhs: solves.append(None)
+                            or solve(info, rhs) * (8.0 if len(solves) == 1 else 1.0))
+        m = fit_logistic(X, y)
+        assert len(evaluations) > 1 + m.iterations
+        np.testing.assert_allclose(m.coefficients, reference.coefficients, rtol=0, atol=1e-12)
+
+    def test_no_convergence_within_max_iter(self, monkeypatch):
+        monkeypatch.setattr(logit, "MAX_ITER", 1)
+        X, y = model_design(3000, seed=2)
+        with pytest.raises(SeparationError, match="no convergence in 1 iterations") as exc:
+            fit_logistic(X, y)
+        assert len(exc.value.variables) == 3
+
     def test_recovers_truth_monte_carlo(self):
         rng = np.random.default_rng(9)
         truth = np.array([-1.5, 1.2, -0.7, 0.5])

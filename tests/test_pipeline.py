@@ -19,12 +19,14 @@ from gamiscreen.errors import (
     TooFewRecordsError,
     UnknownStoreError,
 )
+from gamiscreen.evaluation import calibration_strata, calibration_to_dict, roc_auc
 from gamiscreen.logit import FittedModel, predict, probabilities
 from gamiscreen.pipeline import (
     SCORE_CHUNK,
     Dataset,
     SplitPlan,
     _score_chunks,
+    evaluate,
     ingest,
     iter_scores,
     load_dataset,
@@ -420,6 +422,11 @@ class TestRunStudy:
             assert list(entry) == ["variable", "odds_ratio", "ci_low", "ci_high", "p_value",
                                    "error"]
 
+    def test_unknown_selection_rejected(self, small_corpus):
+        with pytest.raises(InputError) as exc:
+            run_study(small_corpus, seed=3, selection="lasso")
+        assert str(exc.value) == "unknown selection mode: 'lasso'"
+
     def test_perfect_predictor_aborts_with_stage(self, grouping):
         # labels equal the Game Labels bit exactly; other variables vary
         extras = ["quiz", "diary", "track", "story", "progress", "purpose", "quest",
@@ -518,6 +525,58 @@ class TestRunStudy:
         run_study(small_corpus, seed=9).to_json(a)
         run_study(small_corpus, seed=9).to_json(b)
         assert a.getvalue() == b.getvalue()
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("selection", ["forced", "strict"])
+    def test_equals_the_study_report(self, small_corpus, selection):
+        report = run_study(small_corpus, seed=5, selection=selection)
+        doc = report.to_dict()
+        for split in ("all", "generation", "validation"):
+            recs = [r for r in doc["records"] if split in ("all", r["group"])]
+            probs, labels = [r["probability"] for r in recs], [r["label"] for r in recs]
+            roc = roc_auc(probs, labels)
+            evaluated = evaluate(report.model, small_corpus.records, split)
+            assert evaluated == {
+                "split": split, "n": len(recs), "auc": roc.auc, "auc_ci_low": roc.auc_ci_low,
+                "auc_ci_high": roc.auc_ci_high,
+                "calibration": calibration_to_dict(calibration_strata(probs, labels))}
+            if split != "all":
+                block = doc["roc"][split]
+                assert {k: evaluated[k] for k in ("auc", "auc_ci_low", "auc_ci_high")} == {
+                    k: block[k] for k in ("auc", "auc_ci_low", "auc_ci_high")}
+        assert evaluated["calibration"] == doc["calibration"]  # the validation group's
+
+    @pytest.mark.parametrize("keywords, split, message", [
+        (False, "all", "model carries no keywords; cannot score raw text"),
+        (True, "test", "unknown split: 'test'"),
+        (True, "validation",
+         "model records no split seed; give --seed to evaluate the validation group"),
+    ], ids=["no keywords", "unknown split", "group split without a seed"])
+    def test_refusal_takes_no_record(self, pretrained, small_corpus, keywords, split, message):
+        # the bundled model records no split seed
+        model = pretrained if keywords else replace(pretrained, grouping=None)
+        taken = []
+        records = (taken.append(r) or r for r in small_corpus.records)
+        with pytest.raises(InputError) as exc:
+            evaluate(model, records, split)
+        assert str(exc.value) == message
+        assert taken == []
+
+    def test_explicit_seed_splits_without_a_model_seed(self, pretrained, small_corpus):
+        assert pretrained.seed is None
+        labeled = small_corpus.labeled()
+        group = [labeled[i] for i in split_rows(labeled, 4)[1]]
+        assert (evaluate(pretrained, small_corpus.records, "validation", seed=4)
+                == {**evaluate(pretrained, group), "split": "validation"})
+
+    @pytest.mark.parametrize("records", [
+        [], [AppRecord(id="a", store="ios", description="quiz"),
+             AppRecord(id="b", store="android", description="diary")],
+    ], ids=["no records", "unlabeled records"])
+    def test_no_labeled_record_is_too_few_records(self, pretrained, records):
+        with pytest.raises(TooFewRecordsError, match="^no labeled records to evaluate$"):
+            evaluate(pretrained, records)
 
 
 class TestScore:

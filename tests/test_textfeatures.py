@@ -78,6 +78,11 @@ class TestDefaultGrouping:
         assert grouping.members("Quizzes") == frozenset({"quiz", "trivia"})
         assert grouping.members("Diary") == frozenset({"diary"})
 
+    def test_members_of_an_unknown_variable(self, grouping):
+        with pytest.raises(KeyError) as exc:
+            grouping.members("No Such Variable")
+        assert exc.value.args == ("No Such Variable",)
+
     def test_disjoint_and_in_lexicon(self, grouping, lexicon):
         grouping.check_against(lexicon)
         total = sum(len(m) for _, m in grouping.variables)
