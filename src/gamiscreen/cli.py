@@ -72,8 +72,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    ds = load_dataset(args.dataset)
     grouping = load_lexicon_file(args.lexicon)[1] if args.lexicon else None
+    ds = load_dataset(args.dataset)
     report = run_study(ds, grouping=grouping, seed=args.seed, selection=args.select)
     logit.save_model(report.model, args.out)
     if args.report:

@@ -64,10 +64,23 @@ def _weighted_var(values: np.ndarray, weights: np.ndarray, total: int) -> float:
 
 
 def tally(keys, positive) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct `keys` ascending, with the number of records and of `positive` ones at each."""
-    values, count = np.unique(keys, return_counts=True)
-    pos_at_or_below = np.searchsorted(np.sort(keys.compress(positive)), values, side="right")
-    return values, count, np.diff(pos_at_or_below, prepend=0)
+    """Distinct `keys` ascending, with the number of records and of `positive` ones at each.
+
+    One sorted copy of the keys gives the distinct values and counts from its first-of-run
+    mask; it is freed before the positives' keys are sorted in place and searched at them."""
+    ordered = np.sort(keys, axis=None)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    first[1:] = ordered[1:] != ordered[:-1]  # the operator: `np.not_equal` has no void loop
+    if ordered.dtype.kind == "f":  # NaN sorts last and is one key, as in `np.unique`
+        first[np.searchsorted(ordered, np.nan) + 1:] = False
+    starts = np.flatnonzero(first)
+    values = ordered[starts]
+    count = np.diff(starts, append=ordered.size)
+    del ordered, first
+    pos = keys.compress(positive)
+    pos.sort()
+    return values, count, np.diff(np.searchsorted(pos, values, side="right"), prepend=0)
 
 
 def _tie_table(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,7 +90,7 @@ def _tie_table(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InputError("scores and labels must be equal-length 1-d arrays")
     positive = labels == 1.0
-    if not (positive | (labels == 0.0)).all():
+    if np.count_nonzero(positive) + np.count_nonzero(labels == 0.0) != labels.size:
         raise InputError("labels must be binary (0/1)")
     values, count, pos = tally(scores, positive)
     if np.isnan(values[-1:]).any():  # NaN sorts last

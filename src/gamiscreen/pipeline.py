@@ -260,11 +260,15 @@ class SplitPlan:
     validation_ids: tuple[str, ...]
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # `Random(-7)` shuffles as `Random(7)` does
+        raise InputError(f"seed must be nonnegative, got {seed}")
+
+
 def split_rows(labeled: list[AppRecord], seed: int) -> tuple[list[int], list[int]]:
     """The generation and validation positions in `labeled`, as `split` cuts them: the
     swaps of ``Random.shuffle`` depend on the length alone, so positions move as ids do."""
-    if seed < 0:  # `Random(-7)` shuffles as `Random(7)` does
-        raise InputError(f"seed must be nonnegative, got {seed}")
+    _check_seed(seed)
     n = len(labeled)
     if n < 3:
         raise TooFewRecordsError(f"need at least 3 labeled records to split, got {n}")
@@ -361,8 +365,11 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
               selection: str = "forced") -> StudyReport:
     """Feature extraction, split, screening, fit, ROC and calibration in one pass.
 
-    `selection` "forced" fits every variable, "strict" those with univariate p < ``ALPHA``.
+    `selection` "forced" fits every variable, "strict" those with univariate p < ``ALPHA``;
+    any other raises before a feature is extracted.
     """
+    if selection not in ("forced", "strict"):
+        raise InputError(f"unknown selection mode: {selection!r}")
     grouping = grouping or default_grouping()
     names = grouping.names
 
@@ -379,13 +386,11 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
 
     if selection == "forced":
         selected = tuple(names)
-    elif selection == "strict":
+    else:
         keep = {u.variable for u in uni if u.p_value is not None and u.p_value < ALPHA}
         selected = tuple(n for n in names if n in keep)
         if not selected:
             raise TooFewRecordsError("strict selection kept no variables")
-    else:
-        raise InputError(f"unknown selection mode: {selection!r}")
 
     sel_idx = [names.index(n) for n in selected]
     with _stage("multivariate fit"):
@@ -424,14 +429,17 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
 def evaluate(model: FittedModel, records, split: str = "all", seed: int | None = None) -> dict:
     """The document `evaluate` prints: `model` judged on the labeled records of `records`, all
     of them or the `split` group as `run_study` cuts it with `seed` (the model's own if None).
-    A model without keywords, an unknown `split` or a group split without a seed raises before
-    any record is taken."""
+    A model without keywords, an unknown `split` or a group split without a nonnegative seed
+    raises before any record is taken."""
     grouping = _keywords(model)
     if split not in ("all", "generation", "validation"):
         raise InputError(f"unknown split: {split!r}")
     seed = model.seed if seed is None else seed
-    if split != "all" and seed is None:
-        raise InputError(f"model records no split seed; give --seed to evaluate the {split} group")
+    if split != "all":
+        if seed is None:
+            raise InputError("model records no split seed; "
+                             f"give --seed to evaluate the {split} group")
+        _check_seed(seed)
     labeled = [r for r in records if r.gamification_label is not None]
     if split != "all":
         labeled = [labeled[i] for i in split_rows(labeled, seed)[split == "validation"]]

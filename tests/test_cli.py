@@ -450,6 +450,25 @@ def test_evaluate_model_without_keywords_reads_no_input(tmp_path, capsys):
         assert out == "" and err == "error: model carries no keywords; cannot score raw text\n"
 
 
+def test_evaluate_negative_seed_reads_no_input(tmp_path, capsys):
+    bundled = str(resources.files("gamiscreen.data").joinpath("pretrained_model.json"))
+    # A missing dataset (exit 4 once opened) is not reached.
+    assert main(["evaluate", "--model", bundled, "--dataset", str(tmp_path / "missing.csv"),
+                 "--split", "validation", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: seed must be nonnegative, got -1\n"
+
+
+def test_train_reads_the_lexicon_before_the_dataset(tmp_path, capsys):
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_bytes(b"{")
+    assert main(["train", "--lexicon", str(lexicon), "--dataset", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path / "m.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: lexicon file is not valid JSON")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_evaluate_dataset_without_labels_is_input_error(tmp_path, capsys):
     bundled = str(resources.files("gamiscreen.data").joinpath("pretrained_model.json"))
     unlabeled = tmp_path / "unlabeled.csv"

@@ -370,6 +370,35 @@ class TestTally:
         assert list(zip(distinct, count.tolist(), pos.tolist())) == \
             sorted_dict_tally(map(tuple, rows), positive)
 
+    @pytest.mark.parametrize("void", [False, True], ids=["float", "void"])
+    def test_inputs_are_left_unchanged(self, void):
+        rng = np.random.default_rng(11)
+        keys = rng.integers(0, 5, 200).astype(float)
+        if void:
+            bits = rng.integers(0, 2, (200, 3)).astype(np.uint8)
+            keys = bits.view(np.dtype((np.void, 3))).ravel()
+        positive = rng.random(200) < 0.4
+        keys_before, positive_before = keys.copy(), positive.copy()
+        tally(keys, positive)
+        assert keys.tobytes() == keys_before.tobytes()
+        assert positive.tobytes() == positive_before.tobytes()
+
+    def test_nan_keys_are_one_key_as_in_unique(self):
+        nan = float("nan")
+        keys = np.array([0.5, nan, -0.0, nan, 0.5, 0.0, nan, 1.0])
+        positive = np.array([1, 1, 0, 0, 1, 1, 1, 0], dtype=bool)
+        values, count, pos = tally(keys, positive)
+        unique, unique_count = np.unique(keys, return_counts=True)
+        assert values.tobytes() == unique.tobytes()  # one NaN; the zero as it sorts
+        assert count.tolist() == unique_count.tolist() == [2, 2, 1, 3]
+        assert pos.tolist() == [1, 2, 0, 2]
+        assert count.dtype == unique_count.dtype and pos.dtype == np.intp
+
+    def test_empty_keys_give_empty_arrays(self):
+        values, count, pos = tally(np.array([], dtype=float), np.array([], dtype=bool))
+        assert (values.dtype, count.dtype, pos.dtype) == (np.float64, np.intp, np.intp)
+        assert values.size == count.size == pos.size == 0
+
 
 class TestTieTableRoc:
     @settings(max_examples=150)
@@ -531,6 +560,12 @@ class TestCalibration:
             calibration_strata([0.1, float("nan"), 0.3, 0.4], [0, 1, 0, 1])
         with pytest.raises(InputError, match="binary"):
             calibration_strata([0.1, 0.2, 0.3, 0.4], [0, 2, 0, 1])
+
+    @pytest.mark.parametrize("statistic", [roc_auc, calibration_strata])
+    def test_labels_summing_to_a_binary_count_are_refused(self, statistic):
+        # their sum, 2, and mean, 0.5, look binary; only a check of each label refuses them
+        with pytest.raises(InputError, match="^labels must be binary"):
+            statistic([0.1, 0.2, 0.3, 0.4], [2, -1, 1, 0])
 
     def test_text_rendering(self):
         report = calibration_strata(np.linspace(0, 1, 40),

@@ -70,6 +70,15 @@ class TestFit:
         assert m.standard_errors[1] == pytest.approx(
             math.sqrt(1 / a + 1 / b + 1 / c + 1 / d), abs=1e-6)
 
+    @pytest.mark.xfail(raises=SeparationError, strict=True,
+                       reason="ROADMAP open item 5: separation is guessed from BETA_LIMIT = 15, "
+                              "so this finite MLE is refused")
+    def test_2x2_large_finite_log_odds_ratio(self):
+        # a = d = 3000, b = c = 1: the MLE is finite, log OR = log(3000 * 3000) = 16.0127
+        X, y = table_2x2(3000, 1, 1, 3000)
+        m = fit_logistic(X, y, names=("f",))
+        assert abs(m.coefficients[1] - math.log(3000 * 3000)) < 1e-9
+
     def test_gradient_zero_at_optimum(self):
         rng = np.random.default_rng(3)
         X = (rng.random((400, 3)) < 0.4).astype(float)

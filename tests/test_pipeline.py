@@ -427,6 +427,14 @@ class TestRunStudy:
             run_study(small_corpus, seed=3, selection="lasso")
         assert str(exc.value) == "unknown selection mode: 'lasso'"
 
+    def test_unknown_selection_extracts_no_feature(self, small_corpus, monkeypatch):
+        extracted = []
+        monkeypatch.setattr("gamiscreen.pipeline.extract_features",
+                            lambda *args: extracted.append(args))
+        with pytest.raises(InputError, match="^unknown selection mode: 'bogus'$"):
+            run_study(small_corpus, seed=3, selection="bogus")
+        assert extracted == []
+
     def test_perfect_predictor_aborts_with_stage(self, grouping):
         # labels equal the Game Labels bit exactly; other variables vary
         extras = ["quiz", "diary", "track", "story", "progress", "purpose", "quest",
@@ -562,6 +570,19 @@ class TestEvaluate:
             evaluate(model, records, split)
         assert str(exc.value) == message
         assert taken == []
+
+    @pytest.mark.parametrize("model_seed, seed", [(None, -1), (3, -1), (-1, None)],
+                             ids=["given", "given over the model's", "the model's"])
+    def test_negative_seed_takes_no_record(self, pretrained, model_seed, seed):
+        started = []
+
+        def records():
+            started.append(True)
+            yield from ()
+
+        with pytest.raises(InputError, match="^seed must be nonnegative, got -1$"):
+            evaluate(replace(pretrained, seed=model_seed), records(), "validation", seed)
+        assert started == []
 
     def test_explicit_seed_splits_without_a_model_seed(self, pretrained, small_corpus):
         assert pretrained.seed is None
