@@ -13,8 +13,8 @@ import sys
 from . import logit, pipeline
 from .errors import InputError, StatisticalError, read_json, require_fields
 from .evaluation import calibration_from_dict, calibration_text, roc_auc, roc_csv, roc_svg
-from .pipeline import ingest, load_dataset, read_records, run_study, save_dataset
-from .pipeline import score_records  # noqa: F401  (the benchmark's traced pass wraps it here)
+from .pipeline import ingest, read_records, run_study, save_dataset
+from .pipeline import load_dataset, score_records  # noqa: F401  (the traced benchmark wraps them)
 from .textfeatures import load_lexicon_file
 
 EXIT_OK = 0
@@ -73,8 +73,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_train(args) -> int:
     grouping = load_lexicon_file(args.lexicon)[1] if args.lexicon else None
-    ds = load_dataset(args.dataset)
-    report = run_study(ds, grouping=grouping, seed=args.seed, selection=args.select)
+    report = run_study(read_records(args.dataset), grouping=grouping, seed=args.seed,
+                       selection=args.select)
     logit.save_model(report.model, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

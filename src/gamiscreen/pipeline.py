@@ -70,36 +70,31 @@ class Dataset:
     records: list[AppRecord]
     source: str = "<memory>"
 
-    def __post_init__(self):
-        seen: set[str] = set()
-        for r in self.records:
-            if r.id in seen:
-                raise DuplicateIdError(r.id)
-            seen.add(r.id)
-
     def labeled(self) -> list[AppRecord]:
         return [r for r in self.records if r.gamification_label is not None]
 
     def summary(self) -> dict:
-        by_store = {s: 0 for s in STORES}
-        by_type = {t: 0 for t in APP_TYPES}
-        n_pos = 0
-        n_labeled = 0
-        for r in self.records:
-            by_store[r.store] += 1
-            if r.app_type:
-                by_type[r.app_type] += 1
-            if r.gamification_label is not None:
-                n_labeled += 1
-                n_pos += r.gamification_label
-        return {
-            "n_records": len(self.records),
-            "by_store": by_store,
-            "by_app_type": by_type,
-            "n_labeled": n_labeled,
-            "n_positive": n_pos,
-            "prevalence": (n_pos / n_labeled) if n_labeled else None,
-        }
+        summary: dict = {}
+        for _ in _counted(self.records, summary):
+            pass
+        return summary
+
+
+def _counted(records, summary: dict) -> Iterator[AppRecord]:
+    """The labeled records of `records`, in order; once they run out, `summary` holds the
+    counts that `Dataset.summary` reports."""
+    by_store, by_type = dict.fromkeys(STORES, 0), dict.fromkeys(APP_TYPES, 0)
+    n = n_labeled = n_pos = 0
+    for n, r in enumerate(records, start=1):
+        by_store[r.store] += 1
+        if r.app_type:
+            by_type[r.app_type] += 1
+        if r.gamification_label is not None:
+            n_labeled += 1
+            n_pos += r.gamification_label
+            yield r
+    summary.update(n_records=n, by_store=by_store, by_app_type=by_type, n_labeled=n_labeled,
+                   n_positive=n_pos, prevalence=(n_pos / n_labeled) if n_labeled else None)
 
 
 def _parse_record(row: dict, rownum: int) -> AppRecord:
@@ -265,9 +260,9 @@ def _check_seed(seed: int) -> None:
         raise InputError(f"seed must be nonnegative, got {seed}")
 
 
-def split_rows(labeled: list[AppRecord], seed: int) -> tuple[list[int], list[int]]:
-    """The generation and validation positions in `labeled`, as `split` cuts them: the
-    swaps of ``Random.shuffle`` depend on the length alone, so positions move as ids do."""
+def split_rows(labeled: list, seed: int) -> tuple[list[int], list[int]]:
+    """The generation and validation positions in the list `labeled`, as `split` cuts them:
+    the swaps of ``Random.shuffle`` depend on the length alone, so positions move as ids do."""
     _check_seed(seed)
     n = len(labeled)
     if n < 3:
@@ -361,24 +356,31 @@ def _stage(name: str):
         raise
 
 
-def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: int = 0,
+def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
               selection: str = "forced") -> StudyReport:
-    """Feature extraction, split, screening, fit, ROC and calibration in one pass.
+    """Feature extraction, split, screening, fit, ROC and calibration in one pass over `records`.
 
-    `selection` "forced" fits every variable, "strict" those with univariate p < ``ALPHA``;
-    any other raises before a feature is extracted.
+    Each labeled record's id, label and bits are kept, not the record. `selection` "forced"
+    fits every variable, "strict" those with univariate p < ``ALPHA``; any other, or a
+    negative `seed`, raises before a record is taken.
     """
     if selection not in ("forced", "strict"):
         raise InputError(f"unknown selection mode: {selection!r}")
+    _check_seed(seed)
     grouping = grouping or default_grouping()
     names = grouping.names
+    summary, ids, labels = {}, [], []
 
-    labeled = dataset.labeled()
-    patterns, rows = pattern_table((extract_features(r, grouping).bits for r in labeled),
-                                   len(names))
-    y = np.array([r.gamification_label for r in labeled], dtype=np.uint8)
-    gen, val = split_rows(labeled, seed)
-    plan = SplitPlan(seed, *(tuple(labeled[i].id for i in group) for group in (gen, val)))
+    def bits():
+        for r in _counted(records, summary):
+            ids.append(r.id)
+            labels.append(r.gamification_label)
+            yield extract_features(r, grouping).bits
+
+    patterns, rows = pattern_table(bits(), len(names))
+    y = np.array(labels, dtype=np.uint8)
+    gen, val = split_rows(ids, seed)
+    plan = SplitPlan(seed, *(tuple(ids[i] for i in group) for group in (gen, val)))
     X_gen, y_gen = patterns[rows[gen]], y[gen]
 
     with _stage("univariate screen"):
@@ -408,14 +410,12 @@ def run_study(dataset: Dataset, grouping: VariableGrouping | None = None, seed: 
     with _stage("calibration"):
         calib = calibration_strata(p_val, y_val, min_positives=CALIBRATION_MIN_POSITIVES)
 
-    scored = (
-        list(zip(plan.generation_ids, repeat("generation"), y_gen.tolist(), p_gen.tolist()))
-        + list(zip(plan.validation_ids, repeat("validation"), y_val.tolist(), p_val.tolist()))
-    )
+    scored = [*zip(plan.generation_ids, repeat("generation"), y_gen.tolist(), p_gen.tolist()),
+              *zip(plan.validation_ids, repeat("validation"), y_val.tolist(), p_val.tolist())]
 
     return StudyReport(
         selection=selection,
-        dataset_summary=dataset.summary(),
+        dataset_summary=summary,
         split_plan=plan,
         univariate=uni,
         model=model,

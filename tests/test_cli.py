@@ -16,7 +16,7 @@ import pytest
 from gamiscreen.cli import main
 from gamiscreen.evaluation import calibration_strata, calibration_to_dict, roc_auc
 from gamiscreen.logit import load_model
-from gamiscreen.pipeline import SCORE_CHUNK, ingest, run_study, score_records
+from gamiscreen.pipeline import SCORE_CHUNK, ingest, read_records, run_study, score_records
 
 from conftest import stdin_text, synthetic_corpus
 
@@ -469,6 +469,15 @@ def test_train_reads_the_lexicon_before_the_dataset(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_train_negative_seed_reads_no_input(tmp_path, capsys):
+    # A missing dataset (exit 4 once opened) is not reached.
+    assert main(["train", "--dataset", str(tmp_path / "missing.csv"), "--seed", "-1",
+                 "--out", str(tmp_path / "m.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: seed must be nonnegative, got -1\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_evaluate_dataset_without_labels_is_input_error(tmp_path, capsys):
     bundled = str(resources.files("gamiscreen.data").joinpath("pretrained_model.json"))
     unlabeled = tmp_path / "unlabeled.csv"
@@ -679,6 +688,39 @@ def test_score_memory_is_flat_in_n(tmp_path):
     assert peaks[10_000] - peaks[1_000] < 512 * 9_000
 
 
+def test_train_memory_is_flat_in_text_length(tmp_path, capsys):
+    # `train` keeps each labeled listing's id, label and bits, not its text: two inputs of
+    # the same listings, one with about 200 more filler tokens in each description, may
+    # differ in tracemalloc peak by a small share of the extra text only.
+    import gamiscreen as g
+    ds = synthetic_corpus(g.pretrained_model(), g.pretrained_grouping(), n=4_000, seed=31)
+    filler = " ".join(f"word{j}" for j in range(200))
+    paths = {}
+    for tag, extra in (("short", ""), ("long", f" {filler}")):
+        paths[tag] = tmp_path / f"{tag}.csv"
+        with open(paths[tag], "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["id", "store", "title", "description", "gamification_label"])
+            w.writerows((r.id, r.store, r.title, r.description + extra, r.gamification_label)
+                        for r in ds.records)
+    extra_bytes = paths["long"].stat().st_size - paths["short"].stat().st_size
+    model = str(tmp_path / "model.json")
+    # The first run imports `scipy.special`, which would dominate a cold peak.
+    assert main(["train", "--dataset", str(paths["short"]), "--out", model]) == 0
+    peaks, outs = {}, {}
+    for tag, path in paths.items():
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(["train", "--dataset", str(path), "--out", model]) == 0
+            peaks[tag] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outs[tag] = capsys.readouterr().out
+    assert outs["short"] == outs["long"]  # the filler matches no keyword
+    assert peaks["long"] - peaks["short"] < 0.1 * extra_bytes
+
+
 def test_train_from_csv_matches_dataset_file(corpus_csv, tmp_path, capsys):
     ds_path = tmp_path / "dataset.json"
     assert main(["ingest", str(corpus_csv), "--out", str(ds_path)]) == 0
@@ -689,7 +731,7 @@ def test_train_from_csv_matches_dataset_file(corpus_csv, tmp_path, capsys):
                      "--out", str(model), "--report", str(report)]) == 0
         outputs.append((model.read_bytes(), report.read_bytes()))
     assert outputs[0] == outputs[1]
-    study = run_study(ingest(corpus_csv), seed=5)
+    study = run_study(read_records(corpus_csv), seed=5)
     assert outputs[0][1] == (json.dumps(study.to_dict(), indent=2) + "\n").encode("utf-8")
 
 

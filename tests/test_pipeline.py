@@ -404,18 +404,18 @@ class TestSplit:
 
 class TestRunStudy:
     def test_forced_roster_matches_grouping(self, small_corpus, grouping):
-        report = run_study(small_corpus, seed=3)
+        report = run_study(small_corpus.records, seed=3)
         assert report.model.feature_names == grouping.names
         assert report.model.grouping == grouping and report.model.seed == 3
 
     def test_strict_mode_subset(self, small_corpus, grouping):
-        report = run_study(small_corpus, seed=3, selection="strict")
+        report = run_study(small_corpus.records, seed=3, selection="strict")
         assert set(report.model.feature_names) <= set(grouping.names)
         assert len(report.model.feature_names) >= 1
 
     @pytest.mark.parametrize("selection", ["forced", "strict"])
     def test_report_config_and_univariate_keys(self, small_corpus, selection):
-        doc = run_study(small_corpus, seed=3, selection=selection).to_dict()
+        doc = run_study(small_corpus.records, seed=3, selection=selection).to_dict()
         assert list(doc["config"].items()) == [
             ("selection", selection), ("alpha", 0.05), ("calibration_min_positives", 5)]
         for entry in doc["univariate"]:
@@ -424,7 +424,7 @@ class TestRunStudy:
 
     def test_unknown_selection_rejected(self, small_corpus):
         with pytest.raises(InputError) as exc:
-            run_study(small_corpus, seed=3, selection="lasso")
+            run_study(small_corpus.records, seed=3, selection="lasso")
         assert str(exc.value) == "unknown selection mode: 'lasso'"
 
     def test_unknown_selection_extracts_no_feature(self, small_corpus, monkeypatch):
@@ -432,8 +432,37 @@ class TestRunStudy:
         monkeypatch.setattr("gamiscreen.pipeline.extract_features",
                             lambda *args: extracted.append(args))
         with pytest.raises(InputError, match="^unknown selection mode: 'bogus'$"):
-            run_study(small_corpus, seed=3, selection="bogus")
+            run_study(small_corpus.records, seed=3, selection="bogus")
         assert extracted == []
+
+    @pytest.mark.parametrize("selection, seed, message", [
+        ("lasso", 3, "unknown selection mode: 'lasso'"),
+        ("forced", -1, "seed must be nonnegative, got -1"),
+    ], ids=["unknown selection", "negative seed"])
+    def test_refusal_takes_no_record(self, selection, seed, message):
+        started = []
+
+        def records():
+            started.append(True)
+            yield from ()
+
+        with pytest.raises(InputError) as exc:
+            run_study(records(), seed=seed, selection=selection)
+        assert str(exc.value) == message
+        assert started == []
+
+    def test_dataset_block_is_the_dataset_summary(self, small_corpus):
+        # unlabeled records with an app type in between, read once from a one-shot iterator
+        extra = [AppRecord(id=f"u{i}", store=("android", "other")[i % 2], description="quiz",
+                           app_type=("health", "misc", None)[i % 3]) for i in range(7)]
+        records = small_corpus.records[:400] + extra + small_corpus.records[400:]
+        report = run_study(iter(records), seed=3)
+        assert report.dataset_summary == Dataset(records=records).summary()
+        assert report.dataset_summary["n_records"] == len(small_corpus.records) + 7
+        assert report.dataset_summary["by_app_type"] == {
+            "breast_cancer": 0, "health": 3, "misc": 2}
+        assert run_study(small_corpus.records, seed=3).to_dict()["records"] == \
+            report.to_dict()["records"]
 
     def test_perfect_predictor_aborts_with_stage(self, grouping):
         # labels equal the Game Labels bit exactly; other variables vary
@@ -447,7 +476,7 @@ class TestRunStudy:
                 id=f"p{i}", store="ios", title="", description=desc,
                 gamification_label=int(has_game)))
         with pytest.raises(SeparationError) as exc:
-            run_study(Dataset(records=records), seed=1)
+            run_study(records, seed=1)
         assert "Game Labels" in exc.value.variables
         assert exc.value.stage is not None
 
@@ -455,7 +484,7 @@ class TestRunStudy:
         """Monte Carlo oracle: AUC of a fitted study approximates the
         population AUC enumerated from the generating model."""
         corpus = synthetic_corpus(pretrained, grouping, n=5000, seed=77)
-        report = run_study(corpus, seed=77)
+        report = run_study(corpus.records, seed=77)
 
         # population AUC over all 2^14 feature patterns
         prev = 0.12
@@ -484,7 +513,7 @@ class TestRunStudy:
         assert abs(report.roc_validation.auc - population_auc) < 0.03
 
     def test_report_self_consistency(self, small_corpus):
-        report = run_study(small_corpus, seed=5)
+        report = run_study(small_corpus.records, seed=5)
         doc = report.to_dict()
         recs = doc["records"]
         assert len(recs) == doc["dataset"]["n_labeled"]
@@ -507,7 +536,7 @@ class TestRunStudy:
                             coefficients=np.array([-1.0, 1.0, 1.5]),
                             standard_errors=np.zeros(3))
         corpus = synthetic_corpus(truth, grouping, n=600, seed=21)
-        report = run_study(corpus, grouping=grouping, seed=2)
+        report = run_study(corpus.records, grouping=grouping, seed=2)
         assert report.model.feature_names == ("A", "B")
         assert [u.error for u in report.univariate] == [None, None]
         lo, hi = report.model.conf_int()[2]
@@ -517,7 +546,7 @@ class TestRunStudy:
         calls = []
         monkeypatch.setattr("gamiscreen.pipeline.probabilities",
                             lambda model, X: calls.append(X.tolist()) or probabilities(model, X))
-        report = run_study(small_corpus, seed=9)
+        report = run_study(small_corpus.records, seed=9)
         # one `probabilities` call, on exactly the distinct patterns; the corpus repeats patterns
         labeled = small_corpus.labeled()
         assert len(calls) == 1
@@ -530,15 +559,15 @@ class TestRunStudy:
 
     def test_determinism(self, small_corpus):
         a, b = io.StringIO(), io.StringIO()
-        run_study(small_corpus, seed=9).to_json(a)
-        run_study(small_corpus, seed=9).to_json(b)
+        run_study(small_corpus.records, seed=9).to_json(a)
+        run_study(small_corpus.records, seed=9).to_json(b)
         assert a.getvalue() == b.getvalue()
 
 
 class TestEvaluate:
     @pytest.mark.parametrize("selection", ["forced", "strict"])
     def test_equals_the_study_report(self, small_corpus, selection):
-        report = run_study(small_corpus, seed=5, selection=selection)
+        report = run_study(small_corpus.records, seed=5, selection=selection)
         doc = report.to_dict()
         for split in ("all", "generation", "validation"):
             recs = [r for r in doc["records"] if split in ("all", r["group"])]
