@@ -1,9 +1,9 @@
 """Discrimination, calibration, model comparison and agreement statistics.
 
-`tally` gives the fit and its evaluation their sufficient statistics: the
+`tally` gives the study and its evaluation their sufficient statistics: the
 distinct keys ascending with the records and positives at each, from one
-sort of the keys and one of the positives' keys. The logistic fit tallies
-its 0/1 rows; ROC and calibration tally the scores into a tie table, and
+sort of the keys and one of the positives' keys. The study tallies its
+pattern rows; ROC and calibration tally the scores into a tie table, and
 every later step is O(#distinct scores). The AUC is computed twice from
 those counts, by trapezoid and by tie-corrected pair counting, and a
 disagreement raises. The DeLong variance of its CI is weighted by count over

@@ -25,7 +25,7 @@ from .errors import (
     read_json,
     require_fields,
 )
-from .evaluation import Z95, tally
+from .evaluation import Z95
 from .textfeatures import VariableGrouping
 
 INTERCEPT_NAME = "constant"
@@ -131,26 +131,28 @@ def hessian(beta, X, y, n=1) -> np.ndarray:
     return -(X * w[:, None]).T @ X
 
 
-def _check_design(X, y, names):
+def _check_design(X, y, names, n):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
         raise InputError("feature matrix must be 2-dimensional")
-    n, p = X.shape
-    if y.shape != (n,):
-        raise InputError(f"outcome length {y.shape} does not match {n} rows")
-    if not np.isin(X, (0.0, 1.0)).all() or not np.isin(y, (0.0, 1.0)).all():
+    m, p = X.shape
+    if y.shape != (m,):
+        raise InputError(f"outcome length {y.shape} does not match {m} rows")
+    n = np.full(m, n, dtype=float) if np.ndim(n) == 0 else np.asarray(n, dtype=float)
+    if n.shape != (m,) or not (np.isfinite(n) & (n >= 1) & (np.floor(n) == n)).all():
+        raise InputError(f"trials must be one positive integer or {m} of them")
+    # Each of a row's n outcomes is 0 or 1, and y counts its 1s.
+    if not np.isin(X, (0.0, 1.0)).all() or not ((0 <= y) & (y <= n) & (np.floor(y) == y)).all():
         raise InputError("design matrix and outcome must be binary (0/1)")
-    if names is None:
-        names = tuple(f"x{j}" for j in range(p))
-    names = tuple(names)
+    names = tuple(f"x{j}" for j in range(p)) if names is None else tuple(names)
     if len(names) != p:
         raise InputError(f"{len(names)} names for {p} columns")
-    return X, y, names
+    return X, y, names, n
 
 
-def fit_logistic(X, y, names=None) -> FittedModel:
-    """Maximize the Bernoulli likelihood by Newton-Raphson with step-halving.
+def fit_logistic(X, y, names=None, n=1) -> FittedModel:
+    """Maximize the likelihood of y events in n trials per row by Newton-Raphson with step-halving.
 
     Iteration stops after applying a Newton step ``I⁻¹g`` whose largest
     component is below ``STEP_TOL``. Unlike the gradient, which is a sum
@@ -159,36 +161,40 @@ def fit_logistic(X, y, names=None) -> FittedModel:
 
     Parameters
     ----------
-    X : (n, p) array of 0/1 feature indicators, without intercept column
-    y : (n,) array of 0/1 outcomes
+    X : (m, p) array of 0/1 feature indicators, without intercept column
+    y : (m,) array of events, the 1-outcomes among each row's trials
     names : optional feature names, used in diagnostics and the result
+    n : (m,) positive integer trials per row, or one for every row (1: a row is a record).
+        Rows with equal bits are merged, so pattern counts and their records fit the same.
 
     Raises
     ------
     TooFewRecordsError
-        for fewer than p + 1 rows.
+        for fewer than p + 1 observations (trials).
     DegenerateColumnError
-        for a constant-zero or constant-one feature column.
+        for a feature that is 0 in every trial or 1 in every trial.
     SeparationError
         when any |beta| exceeds ``BETA_LIMIT`` during iteration or the
         Newton step is still large after ``MAX_ITER`` iterations.
     SingularMatrixError
         when the observed information matrix cannot be inverted.
     """
-    X, y, names = _check_design(X, y, names)
-    n, p = X.shape
-    if n < p + 1:
-        raise TooFewRecordsError(f"need at least {p + 1} observations for {p} features, got {n}")
+    X, y, names, n = _check_design(X, y, names, n)
+    p = X.shape[1]
+    n_obs = int(n.sum())
+    if n_obs < p + 1:
+        raise TooFewRecordsError(f"need at least {p + 1} observations for {p} features, got {n_obs}")
 
-    col_sums = X.sum(axis=0)
+    col_sums = n @ X
     for j in range(p):
-        if col_sums[j] == 0 or col_sums[j] == n:
+        if col_sums[j] == 0 or col_sums[j] == n_obs:
             raise DegenerateColumnError(names[j])
 
-    # A record enters the likelihood only through its 0/1 row, so the fit runs over the
-    # `tally` of the rows' bytes as void keys (the intercept makes each at least 1 byte).
-    bits = np.ascontiguousarray(np.column_stack([np.ones(n), X]), dtype=np.uint8)
-    rows, trials, events = tally(bits.view(np.dtype((np.void, p + 1))).ravel(), y == 1.0)
+    # A trial enters the likelihood only through its 0/1 row, so the fit runs over the
+    # distinct rows, ascending as void keys (the intercept makes each at least 1 byte).
+    bits = np.ascontiguousarray(np.column_stack([np.ones(len(y)), X]), dtype=np.uint8)
+    rows, key = np.unique(bits.view(np.dtype((np.void, p + 1))).ravel(), return_inverse=True)
+    trials, events = np.bincount(key, n), np.bincount(key, y)
     Xd = rows.view(np.uint8).reshape(-1, p + 1).astype(float)
     all_names = (INTERCEPT_NAME,) + names
 
@@ -224,7 +230,7 @@ def fit_logistic(X, y, names=None) -> FittedModel:
         covariance=cov,
         log_likelihood=ll,
         aic=2.0 * (p + 1) - 2.0 * ll,
-        n_obs=n,
+        n_obs=n_obs,
         iterations=iterations,
     )
 
@@ -249,21 +255,21 @@ class UnivariateResult:
     error: str | None = None
 
 
-def univariate_screen(X, y, names=None) -> list[UnivariateResult]:
-    """Single-predictor (plus intercept) logistic fit per feature column.
+def univariate_screen(X, y, names=None, n=1) -> list[UnivariateResult]:
+    """Single-predictor (plus intercept) logistic fit per feature column of y events in n trials.
 
     For one binary predictor the MLE is closed-form: with the 2x2 counts
     a (x=1, y=1), b (x=1, y=0), c (x=0, y=1) and d (x=0, y=0), the slope
     is log(ad/bc) with Wald SE sqrt(1/a + 1/b + 1/c + 1/d) (Agresti,
     *Categorical Data Analysis*, §2.4). A constant column or an empty
     cell (no finite MLE) is recorded in ``error`` instead of aborting the
-    screen.
+    screen. `y` and `n` are read as in `fit_logistic`; the cells are exact integer sums.
     """
-    X, y, names = _check_design(X, y, names)
+    X, y, names, n = _check_design(X, y, names, n)
     a = y @ X
-    b = X.sum(axis=0) - a
+    b = n @ X - a
     c = y.sum() - a
-    d = len(y) - a - b - c
+    d = n.sum() - a - b - c
     results = []
     for name, a_j, b_j, c_j, d_j in zip(names, a, b, c, d):
         if a_j + b_j == 0 or c_j + d_j == 0:

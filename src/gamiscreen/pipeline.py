@@ -34,6 +34,7 @@ from .evaluation import (
     calibration_strata,
     calibration_to_dict,
     roc_auc,
+    tally,
 )
 from .logit import (
     SPLIT_GENERATOR,
@@ -381,10 +382,12 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
     y = np.array(labels, dtype=np.uint8)
     gen, val = split_rows(ids, seed)
     plan = SplitPlan(seed, *(tuple(ids[i] for i in group) for group in (gen, val)))
-    X_gen, y_gen = patterns[rows[gen]], y[gen]
+    # The screen and fit get the generation group's patterns, with records and positives at each.
+    used, n_gen, e_gen = tally(rows[gen], y[gen] == 1)
+    X_gen, y_gen = patterns[used], y[gen]
 
     with _stage("univariate screen"):
-        uni = univariate_screen(X_gen, y_gen, names=names)
+        uni = univariate_screen(X_gen, e_gen, names=names, n=n_gen)
 
     if selection == "forced":
         selected = tuple(names)
@@ -396,7 +399,7 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
 
     sel_idx = [names.index(n) for n in selected]
     with _stage("multivariate fit"):
-        fit = fit_logistic(X_gen[:, sel_idx], y_gen, names=selected)
+        fit = fit_logistic(X_gen[:, sel_idx], e_gen, names=selected, n=n_gen)
     model = replace(fit, seed=seed, grouping=VariableGrouping(
         tuple((n, grouping.members(n)) for n in selected)))
 

@@ -147,6 +147,25 @@ class TestFit:
             fit_logistic(X, y, names=names)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("y, n, message", [
+        (np.ones(4), 0, "trials must be one positive integer or 4 of them"),
+        (np.ones(4), 1.5, "trials must be one positive integer or 4 of them"),
+        (np.ones(4), -1, "trials must be one positive integer or 4 of them"),
+        (np.ones(4), np.inf, "trials must be one positive integer or 4 of them"),
+        (np.ones(4), np.full(3, 2), "trials must be one positive integer or 4 of them"),
+        (np.r_[1.0, 3.0, 0.0, 2.0], 2, "design matrix and outcome must be binary (0/1)"),
+        (np.r_[1.0, -1.0, 0.0, 2.0], 2, "design matrix and outcome must be binary (0/1)"),
+        (np.r_[1.0, 1.5, 0.0, 2.0], 2, "design matrix and outcome must be binary (0/1)"),
+    ], ids=["n = 0", "n = 1.5", "n = -1", "n = inf", "n length", "y > n", "y < 0",
+            "y not integer"])
+    @pytest.mark.parametrize("fn", [fit_logistic, univariate_screen],
+                             ids=["fit", "screen"])
+    def test_malformed_trials_rejected(self, fn, y, n, message):
+        # y counts the 1s among n binary outcomes per row
+        with pytest.raises(InputError) as exc:
+            fn(np.r_[1.0, 1.0, 0.0, 0.0][:, None], y, n=n)
+        assert str(exc.value) == message
+
     def test_step_halving_recovers_from_an_overshoot(self, monkeypatch):
         # No design found reaches step-halving on its own, so the first Newton step is
         # made 8 times too long; halving must bring the fit back to the same optimum.
@@ -215,7 +234,46 @@ def design_100k(pretrained, grouping):
 
 
 class TestCollapsedFit:
-    """The fit runs over distinct rows; the per-record (n = 1) functions are its oracle."""
+    """The fit and the screen take y events in n trials per row and run over distinct rows;
+    the per-record (n = 1) calls and functions are their oracle."""
+
+    def test_grouped_rows_equal_their_records(self):
+        # Repeated rows, and rows with 0 < y < n; expanded, a row is n records, y of them 1.
+        rng = np.random.default_rng(15)
+        X = (rng.random((40, 3)) < 0.5).astype(float)
+        X[25:] = X[:15]
+        n = rng.integers(1, 30, size=40)
+        y = rng.binomial(n, 0.35)
+        assert ((0 < y) & (y < n)).sum() > 20
+        order = rng.permutation(n.sum())
+        X_rec = np.repeat(X, n, axis=0)[order]
+        y_rec = np.concatenate([np.r_[np.ones(k), np.zeros(t - k)] for k, t in zip(y, n)])[order]
+        names = ("a", "b", "c")
+        grouped = fit_logistic(X, y, names=names, n=n)
+        per_record = fit_logistic(X_rec, y_rec, names=names)
+        for field in ("coefficients", "covariance", "standard_errors"):
+            np.testing.assert_array_equal(getattr(grouped, field), getattr(per_record, field))
+        for field in ("log_likelihood", "aic", "n_obs", "iterations"):
+            assert getattr(grouped, field) == getattr(per_record, field)
+        assert grouped.n_obs == len(y_rec)
+        screen = univariate_screen(X, y, names=names, n=n)
+        assert [u.error for u in screen] == [None] * 3
+        assert screen == univariate_screen(X_rec, y_rec, names=names)
+
+    def test_2x2_counts_of_1e8_records(self):
+        # Four grouped rows stand for 10^8 records, more than a per-record design could hold.
+        a, b, c, d = 31_000_000, 19_000_000, 22_000_000, 28_000_000
+        X = np.array([[1.0], [1.0], [0.0], [0.0]])
+        y, n = np.array([a, 0, c, 0]), np.array([a, b, c, d])
+        log_or = math.log(a * d / (b * c))
+        se = math.sqrt(1 / a + 1 / b + 1 / c + 1 / d)
+        m = fit_logistic(X, y, names=("f",), n=n)
+        assert m.n_obs == a + b + c + d == 10**8
+        assert abs(m.coefficients[1] - log_or) < 1e-9
+        assert abs(m.standard_errors[1] - se) < 1e-9
+        u = univariate_screen(X, y, names=("f",), n=n)[0]
+        assert abs(math.log(u.odds_ratio) - log_or) < 1e-9
+        assert abs((math.log(u.ci_high) - math.log(u.ci_low)) / (2 * 1.96) - se) < 1e-9
 
     def test_counts_equal_per_record_sums(self):
         rng = np.random.default_rng(14)

@@ -20,7 +20,13 @@ from gamiscreen.errors import (
     UnknownStoreError,
 )
 from gamiscreen.evaluation import calibration_strata, calibration_to_dict, roc_auc
-from gamiscreen.logit import FittedModel, predict, probabilities
+from gamiscreen.logit import (
+    FittedModel,
+    fit_logistic,
+    predict,
+    probabilities,
+    univariate_screen,
+)
 from gamiscreen.pipeline import (
     SCORE_CHUNK,
     Dataset,
@@ -556,6 +562,28 @@ class TestRunStudy:
         bits = {r.id: extract_features(r, grouping).bits for r in labeled}
         for rid, _, _, p in report.scored_records:
             assert p == predict(report.model, bits[rid])
+
+    @pytest.mark.parametrize("selection", ["forced", "strict"])
+    def test_screen_and_fit_get_pattern_counts(self, small_corpus, grouping, monkeypatch,
+                                               selection):
+        # Each gets at most one row per distinct generation pattern, whose trials and events
+        # add up to the generation group's records and positives.
+        calls = {}
+        for name, fn in (("univariate_screen", univariate_screen), ("fit_logistic", fit_logistic)):
+            def spy(X, y, names=None, n=1, name=name, fn=fn):
+                calls[name] = (len(X), np.sum(y), np.sum(np.broadcast_to(n, np.shape(y))))
+                return fn(X, y, names=names, n=n)
+            monkeypatch.setattr(f"gamiscreen.pipeline.{name}", spy)
+        report = run_study(small_corpus.records, seed=9, selection=selection)
+        records = {r.id: r for r in small_corpus.labeled()}
+        gen = [records[i] for i in report.split_plan.generation_ids]
+        n_patterns = len({extract_features(r, grouping).bits for r in gen})
+        assert n_patterns < len(gen) / 2
+        positives = sum(r.gamification_label for r in gen)
+        assert sorted(calls) == ["fit_logistic", "univariate_screen"]
+        for rows, events, trials in calls.values():
+            assert rows <= n_patterns
+            assert (events, trials) == (positives, len(gen))
 
     def test_determinism(self, small_corpus):
         a, b = io.StringIO(), io.StringIO()
