@@ -35,16 +35,19 @@ class StatisticalError(GamiscreenError):
 def require_fields(doc, what: str, **fields) -> dict:
     """Return `doc` if it is a JSON object whose named fields have the given types.
 
-    A type is a class, a tuple of classes or ``list[str]``. Anything else (a
-    missing field, a wrong type, a non-object) raises ``InputError`` naming
-    `what`, so a malformed file exits 2, not with a traceback.
+    A type is a class, a tuple of classes or ``list[str]``. JSON ``true`` and
+    ``false`` pass for no number, though Python's ``bool`` is an ``int``.
+    Anything else (a missing field, a wrong type, a non-object) raises
+    ``InputError`` naming `what`, so a malformed file exits 2, not with a
+    traceback.
     """
     if not isinstance(doc, dict):
         raise InputError(f"{what} is not a JSON object")
     for name, kind in fields.items():
         value = doc.get(name)
         if not (isinstance(value, list) and all(isinstance(k, str) for k in value)
-                if kind == list[str] else isinstance(value, kind)):
+                if kind == list[str] else isinstance(value, kind)
+                and not (isinstance(value, bool) and kind is not bool)):
             raise InputError(f"{what} lacks a valid {name!r}")
     return doc
 

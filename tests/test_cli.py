@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -751,6 +752,29 @@ def _study(**parts) -> bytes:
     return _doc({"records": [], "dataset": _STUDY_DATASET,
                  "roc": {"generation": _STUDY_AUC, "validation": _STUDY_AUC},
                  "calibration": {"strata": [], "merged": []}, **parts})
+
+
+@pytest.mark.parametrize("intercept, variable", [
+    (False, {"coefficient": True}),
+    (-1.0, {"coefficient": True}),
+    (-1.0, {"standard_error": False}),
+    (-1.0, {"coefficient": math.nan}),
+    (-1.0, {"coefficient": math.inf}),
+    (-math.inf, {}),
+    (-1.0, {"coefficient": 10 ** 400}),
+], ids=["intercept false", "coefficient true", "standard error false", "coefficient NaN",
+        "coefficient Infinity", "intercept -Infinity", "coefficient beyond float64"])
+def test_score_refuses_a_model_number_json_cannot_mean(tmp_path, monkeypatch, capsys,
+                                                       intercept, variable):
+    # JSON true and false are no numbers, and a NaN probability is no JSON
+    path = tmp_path / "model.json"
+    path.write_bytes(_doc({"format_version": 1, "intercept": intercept,
+                           "variables": [{**_MODEL_VARIABLE, "keywords": ["quiz"], **variable}]}))
+    monkeypatch.setattr("sys.stdin", stdin_text('{"id": "a", "description": "quiz"}\n'))
+    assert main(["score", "--model", str(path), "--explain"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error" in err
 
 
 def test_report_table_prints_a_minimal_study(tmp_path, capsys):

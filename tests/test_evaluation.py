@@ -348,6 +348,37 @@ def bit_rows(draw):
     return rows, draw(st.lists(st.booleans(), min_size=n, max_size=n)), width
 
 
+# The keys `tally` packs into one sort: no sign bit, no NaN; the extremes of the float64 range.
+PACKED_KEYS = st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e308,
+                                         1.7976931348623157e308, math.inf]),
+                        st.floats(0, 1).map(abs))  # abs: never -0.0
+
+
+def two_sort_tally(keys, positive):
+    """`tally` of `keys` through its two-sort path: a leading -inf key keeps it off the packed
+    one, and its entry is dropped."""
+    values, count, pos = tally(np.append(-math.inf, keys), np.append(False, positive))
+    return values[1:], count[1:], pos[1:]
+
+
+def spy_packed_tally(monkeypatch) -> list:
+    """A list that gets, per call of `tally`'s one-sort path, True when it took the keys."""
+    took, packed = [], evaluation._packed_tally
+
+    def spy(*args):
+        table = packed(*args)
+        took.append(table is not None)
+        return table
+
+    monkeypatch.setattr(evaluation, "_packed_tally", spy)
+    return took
+
+
+def assert_same_tally(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+
 class TestTally:
     @settings(max_examples=150)
     @given(tied_pairs(ROC_SCORES, min_size=0))
@@ -369,6 +400,61 @@ class TestTally:
         distinct = [tuple(r) for r in values.view(np.uint8).reshape(-1, width).tolist()]
         assert list(zip(distinct, count.tolist(), pos.tolist())) == \
             sorted_dict_tally(map(tuple, rows), positive)
+
+    @settings(max_examples=150)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.booleans()), max_size=60))
+    def test_intp_keys_equal_sorted_dict_count(self, pairs):
+        # `run_study` tallies the generation group's pattern rows, intp indices
+        keys = np.array([k for k, _ in pairs], dtype=np.intp)
+        positive = np.array([p for _, p in pairs], dtype=bool)
+        values, count, pos = tally(keys, positive)
+        assert (values.dtype, count.dtype, pos.dtype) == (np.intp, np.intp, np.intp)
+        assert list(zip(values.tolist(), count.tolist(), pos.tolist())) == \
+            sorted_dict_tally(keys.tolist(), positive.tolist())
+
+    @settings(max_examples=150)
+    @given(tied_pairs(PACKED_KEYS, min_size=1))
+    def test_packed_keys_equal_sorted_dict_count_and_two_sorts(self, data):
+        scores, labels = data
+        keys, positive = np.array(scores, dtype=float), np.array(labels) == 1
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            took = spy_packed_tally(monkeypatch)
+            got = tally(keys, positive)
+        assert took == [True]
+        assert list(zip(got[0].tolist(), got[1].tolist(), got[2].tolist())) == \
+            sorted_dict_tally(scores, positive.tolist())
+        assert_same_tally(got, two_sort_tally(keys, positive))
+
+    @pytest.mark.parametrize("pool", [[0.5], [0.0, 0.25, 1.0], [5e-324, math.inf]],
+                             ids=["one key", "three keys", "extremes"])
+    def test_many_tied_keys_equal_unique(self, pool):
+        rng = np.random.default_rng(17)
+        keys = rng.choice(pool, 2**17 + 3)
+        positive = rng.random(keys.size) < 0.3
+        values, count, pos = tally(keys, positive)
+        unique, unique_count = np.unique(keys, return_counts=True)
+        pos_unique, pos_count = np.unique(keys[positive], return_counts=True)
+        assert values.tobytes() == unique.tobytes()
+        assert count.tolist() == unique_count.tolist()
+        assert pos.tolist() == [dict(zip(pos_unique.tolist(), pos_count.tolist())).get(v, 0)
+                                for v in unique.tolist()]
+        assert_same_tally((values, count, pos), two_sort_tally(keys, positive))
+
+    @pytest.mark.parametrize("n", [300, 2**17 + 3], ids=["in the first chunk", "in a later chunk"])
+    @pytest.mark.parametrize("extra", [-0.0, -0.5, -math.inf, math.nan])
+    def test_signed_or_nan_keys_keep_the_two_sort_path(self, monkeypatch, extra, n):
+        rng = np.random.default_rng(5)
+        keys = np.append(rng.integers(0, 4, n) / 4, extra)
+        positive = rng.random(keys.size) < 0.5
+        took = spy_packed_tally(monkeypatch)
+        values, count, pos = tally(keys, positive)
+        assert took == [False]
+        unique, unique_count = np.unique(keys, return_counts=True)
+        assert values.tobytes() == unique.tobytes()  # -0.0 and 0.0 one key, as it sorts
+        assert count.tolist() == unique_count.tolist()
+        assert pos.tolist() == [sum(p for k, p in zip(keys.tolist(), positive.tolist())
+                                    if k == v or (v != v and k != k)) for v in unique.tolist()]
+        assert (values.dtype, count.dtype, pos.dtype) == (np.float64, np.intp, np.intp)
 
     @pytest.mark.parametrize("void", [False, True], ids=["float", "void"])
     def test_inputs_are_left_unchanged(self, void):
