@@ -4,7 +4,7 @@
 distinct keys ascending with the records and positives at each. Float64 keys
 with no sign bit set and no NaN, every probability among them, take one sort
 of their bits with the label in the low bit; any other keys (-0.0, negative,
-NaN, integer, void) take one sort of the keys and one of the positives' keys.
+NaN, integer, void) take `np.unique` and one sort of the positives' keys.
 The study tallies its pattern rows; ROC and calibration tally the scores into
 a tie table, which the study and `pipeline.evaluate` build once for both, and
 every later step is O(#distinct scores). The AUC is computed twice from
@@ -70,10 +70,7 @@ def _first_of_run(ordered: np.ndarray) -> np.ndarray:
     """True where sorted `ordered` starts a run of equal items."""
     first = np.empty(ordered.size, dtype=bool)
     first[:1] = True
-    if ordered.dtype.kind == "V":  # `np.not_equal` has no void loop; the operator has
-        first[1:] = ordered[1:] != ordered[:-1]
-    else:  # no temporary mask beside `first`
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])  # no temporary mask beside `first`
     return first
 
 
@@ -85,24 +82,15 @@ def tally(keys, positive) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct `keys` ascending, with the number of records and of `positive` ones at each.
 
     1-d float64 keys with no sign bit set and no NaN, which every probability is, take one
-    sort (`_packed_tally`). Any other keys (-0.0, negative, NaN, integer or void) take two:
-    one sorted copy of the keys gives the distinct values and counts from its first-of-run
-    mask; it is freed before the positives' keys are sorted in place and searched at them."""
+    sort (`_packed_tally`). Any other keys (-0.0, negative, NaN, integer or void; the study's
+    pattern rows are intp) take `np.unique` and one sort of the positives' keys."""
     if keys.dtype == np.float64 and keys.ndim == 1 and keys.size:
         table = _packed_tally(keys.view(np.uint64), np.asarray(positive, dtype=bool))
         if table is not None:
             return table
-    ordered = np.sort(keys, axis=None)
-    first = _first_of_run(ordered)
-    if ordered.dtype.kind == "f":  # NaN sorts last and is one key, as in `np.unique`
-        first[np.searchsorted(ordered, np.nan) + 1:] = False
-    starts = np.flatnonzero(first)
-    values = ordered[starts]
-    count = np.diff(starts, append=ordered.size)
-    del ordered, first
-    pos = keys.compress(positive)
-    pos.sort()
-    return values, count, np.diff(np.searchsorted(pos, values, side="right"), prepend=0)
+    values, count = np.unique(keys, return_counts=True)
+    pos_at_or_below = np.searchsorted(np.sort(keys.compress(positive)), values, side="right")
+    return values, count, np.diff(pos_at_or_below, prepend=0)
 
 
 def _packed_tally(bits: np.ndarray,
@@ -203,8 +191,7 @@ def _roc(values, pos, neg) -> RocCurve:
 def roc_csv(curve: RocCurve) -> str:
     lines = ["threshold,fpr,tpr"]
     for t, (f, tp) in zip(curve.thresholds, curve.points):
-        tt = "inf" if math.isinf(t) else repr(t)
-        lines.append(f"{tt},{f!r},{tp!r}")
+        lines.append(f"{t!r},{f!r},{tp!r}")
     return "\n".join(lines) + "\n"
 
 

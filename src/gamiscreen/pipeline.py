@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Sized
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import islice, repeat
 from random import Random
@@ -264,9 +264,10 @@ def _check_seed(seed: int) -> None:
         raise InputError(f"seed must be nonnegative, got {seed}")
 
 
-def split_rows(labeled: list, seed: int) -> tuple[list[int], list[int]]:
-    """The generation and validation positions in the list `labeled`, as `split` cuts them:
-    the swaps of ``Random.shuffle`` depend on the length alone, so positions move as ids do."""
+def split_rows(labeled: Sized, seed: int) -> tuple[list[int], list[int]]:
+    """The generation and validation positions in `labeled`, as `split` cuts them. Only its
+    length is read: the swaps of ``Random.shuffle`` depend on it alone, so positions move
+    as ids do, and the labeled ids, records or labels all give the same positions."""
     _check_seed(seed)
     n = len(labeled)
     if n < 3:
@@ -360,6 +361,22 @@ def _stage(name: str):
         raise
 
 
+def _labeled_patterns(records, grouping: VariableGrouping) -> tuple:
+    """The one pass of `run_study` and `evaluate` over `records`: the summary `_counted` gives,
+    then the labeled records' ids and 0/1 labels (a uint8 array), and the `pattern_table` of
+    their bits under `grouping`. Each record is extracted as it is read, and none is kept."""
+    summary, ids, labels = {}, [], []
+
+    def bits():
+        for r in _counted(records, summary):
+            ids.append(r.id)
+            labels.append(r.gamification_label)
+            yield extract_features(r, grouping).bits
+
+    patterns, rows = pattern_table(bits(), len(grouping.names))
+    return summary, ids, np.array(labels, dtype=np.uint8), patterns, rows
+
+
 def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
               selection: str = "forced") -> StudyReport:
     """Feature extraction, split, screening, fit, ROC and calibration in one pass over `records`.
@@ -373,16 +390,7 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
     _check_seed(seed)
     grouping = grouping or default_grouping()
     names = grouping.names
-    summary, ids, labels = {}, [], []
-
-    def bits():
-        for r in _counted(records, summary):
-            ids.append(r.id)
-            labels.append(r.gamification_label)
-            yield extract_features(r, grouping).bits
-
-    patterns, rows = pattern_table(bits(), len(names))
-    y = np.array(labels, dtype=np.uint8)
+    summary, ids, y, patterns, rows = _labeled_patterns(records, grouping)
     gen, val = split_rows(ids, seed)
     plan = SplitPlan(seed, *(tuple(ids[i] for i in group) for group in (gen, val)))
     # The screen and fit get the generation group's patterns, with records and positives at each.
@@ -447,16 +455,16 @@ def evaluate(model: FittedModel, records, split: str = "all", seed: int | None =
             raise InputError("model records no split seed; "
                              f"give --seed to evaluate the {split} group")
         _check_seed(seed)
-    labeled = [r for r in records if r.gamification_label is not None]
+    y, patterns, rows = _labeled_patterns(records, grouping)[2:]
     if split != "all":
-        labeled = [labeled[i] for i in split_rows(labeled, seed)[split == "validation"]]
-    if not labeled:
+        group = split_rows(y, seed)[split == "validation"]
+        # The group's own patterns, so each of them is computed once and no other is.
+        used, rows = np.unique(rows[group], return_inverse=True)
+        y, patterns = y[group], patterns[used]
+    if not y.size:
         raise TooFewRecordsError("no labeled records to evaluate")
-    patterns, rows = pattern_table((extract_features(r, grouping).bits for r in labeled),
-                                   len(grouping.names))
-    labels = [r.gamification_label for r in labeled]
-    table = _tie_table(logit.probabilities(model, patterns)[rows], labels)
-    return {"split": split, "n": len(labels), **_auc(_roc(*table)),
+    table = _tie_table(logit.probabilities(model, patterns)[rows], y)
+    return {"split": split, "n": y.size, **_auc(_roc(*table)),
             "calibration": calibration_to_dict(_calibration(*table))}
 
 

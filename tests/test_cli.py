@@ -722,6 +722,40 @@ def test_train_memory_is_flat_in_text_length(tmp_path, capsys):
     assert peaks["long"] - peaks["short"] < 0.1 * extra_bytes
 
 
+@pytest.mark.parametrize("split", ["all", "validation"])
+def test_evaluate_memory_is_flat_in_text_length(tmp_path, capsys, split):
+    # `evaluate` extracts each labeled listing as it reads it and keeps its label and pattern
+    # row, not its text: the twin of the `train` test above, on the same two inputs.
+    import gamiscreen as g
+    ds = synthetic_corpus(g.pretrained_model(), g.pretrained_grouping(), n=4_000, seed=31)
+    filler = " ".join(f"word{j}" for j in range(200))
+    paths = {}
+    for tag, extra in (("short", ""), ("long", f" {filler}")):
+        paths[tag] = tmp_path / f"{tag}.csv"
+        with open(paths[tag], "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["id", "store", "title", "description", "gamification_label"])
+            w.writerows((r.id, r.store, r.title, r.description + extra, r.gamification_label)
+                        for r in ds.records)
+    extra_bytes = paths["long"].stat().st_size - paths["short"].stat().st_size
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--dataset", str(paths["short"]), "--out", model]) == 0
+    argv = ["evaluate", "--model", model, "--split", split, "--dataset"]
+    assert main(argv + [str(paths["short"])]) == 0  # a cold first run would add its imports
+    peaks, outs = {}, {}
+    for tag, path in paths.items():
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(path)]) == 0
+            peaks[tag] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outs[tag] = capsys.readouterr().out
+    assert outs["short"] == outs["long"]  # the filler matches no keyword
+    assert peaks["long"] - peaks["short"] < 0.1 * extra_bytes
+
+
 def test_train_from_csv_matches_dataset_file(corpus_csv, tmp_path, capsys):
     ds_path = tmp_path / "dataset.json"
     assert main(["ingest", str(corpus_csv), "--out", str(ds_path)]) == 0

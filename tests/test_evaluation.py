@@ -840,6 +840,13 @@ class TestExports:
         assert lines[1].startswith("inf,")
         assert len(lines) == 1 + len(roc.points)
 
+    def test_csv_thresholds_keep_their_sign(self):
+        # a -inf score is the last threshold, and it is written as -inf, not inf
+        roc = roc_auc([-math.inf, 0.5, 1.0, 0.2], [0, 1, 1, 0])
+        lines = roc_csv(roc).splitlines()
+        assert lines[1].startswith("inf,") and lines[-1] == "-inf,1.0,1.0"
+        assert [float(line.split(",")[0]) for line in lines[1:]] == list(roc.thresholds)
+
     def test_svg(self):
         roc = roc_auc([0.2, 0.8, 0.5, 0.1], [0, 1, 1, 0])
         svg = roc_svg(roc)
