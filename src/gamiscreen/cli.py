@@ -1,7 +1,7 @@
 """Command-line interface: ingest, train, evaluate, score, report.
 
-Exit codes: 0 success, 2 input error, 3 statistical failure
-(separation / singular / one-class), 4 I/O error.
+Exit codes: 0 success, 2 input error, 3 statistical failure (separation /
+singular / one-class), 4 I/O error, including a stdout its reader closed early.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def _cmd_train(args) -> int:
         "auc_generation": report.roc_generation.auc,
         "auc_validation": report.roc_validation.auc,
         "aic": report.model.aic,
-        "n_generation": len(report.split_plan.generation_ids),
-        "n_validation": len(report.split_plan.validation_ids),
+        "n_generation": len(report.split_rows[0]),
+        "n_validation": len(report.split_rows[1]),
     }, indent=2))
     return EXIT_OK
 

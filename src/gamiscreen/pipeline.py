@@ -14,7 +14,7 @@ import json
 import sys
 from collections.abc import Iterator, Sized
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import islice, repeat
+from itertools import islice
 from random import Random
 
 import numpy as np
@@ -306,15 +306,18 @@ def pattern_table(bits, k: int) -> tuple[np.ndarray, np.ndarray]:
 class StudyReport:
     selection: str
     dataset_summary: dict
-    split_plan: SplitPlan
+    ids: list                    # the labeled records' ids, in read order
+    split_rows: tuple            # (generation, validation) positions in `ids`
+    labels: np.ndarray           # uint8, one per id
+    probabilities: np.ndarray    # the model's, one per id
     univariate: list
     model: FittedModel
     roc_generation: object
     roc_validation: object
     calibration: CalibrationReport
-    scored_records: list  # (id, group, label, probability)
 
     def to_dict(self) -> dict:
+        labels, probs = self.labels.tolist(), self.probabilities.tolist()
         return {
             "seed": self.model.seed,
             "generator": SPLIT_GENERATOR,
@@ -323,8 +326,8 @@ class StudyReport:
             "dataset": self.dataset_summary,
             "split": {
                 "seed": self.model.seed,
-                "n_generation": len(self.split_plan.generation_ids),
-                "n_validation": len(self.split_plan.validation_ids),
+                "n_generation": len(self.split_rows[0]),
+                "n_validation": len(self.split_rows[1]),
             },
             "univariate": [asdict(u) for u in self.univariate],
             "selected_variables": list(self.model.feature_names),
@@ -336,8 +339,8 @@ class StudyReport:
             },
             "calibration": calibration_to_dict(self.calibration),
             "records": [
-                {"id": rid, "group": group, "label": label, "probability": prob}
-                for rid, group, label, prob in self.scored_records
+                {"id": self.ids[i], "group": group, "label": labels[i], "probability": probs[i]}
+                for group, rows in zip(("generation", "validation"), self.split_rows) for i in rows
             ],
         }
 
@@ -392,10 +395,9 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
     names = grouping.names
     summary, ids, y, patterns, rows = _labeled_patterns(records, grouping)
     gen, val = split_rows(ids, seed)
-    plan = SplitPlan(seed, *(tuple(ids[i] for i in group) for group in (gen, val)))
     # The screen and fit get the generation group's patterns, with records and positives at each.
     used, n_gen, e_gen = tally(rows[gen], y[gen] == 1)
-    X_gen, y_gen = patterns[used], y[gen]
+    X_gen = patterns[used]
 
     with _stage("univariate screen"):
         uni = univariate_screen(X_gen, e_gen, names=names, n=n_gen)
@@ -415,29 +417,27 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
         tuple((n, grouping.members(n)) for n in selected)))
 
     p = probabilities(model, patterns[:, sel_idx])[rows]
-    p_gen, y_val, p_val = p[gen], y[val], p[val]
 
     with _stage("generation ROC"):
-        roc_gen = roc_auc(p_gen, y_gen)
+        roc_gen = roc_auc(p[gen], y[gen])
     with _stage("validation ROC"):
-        table = _tie_table(p_val, y_val)  # one tie table for the ROC and the calibration
+        table = _tie_table(p[val], y[val])  # one tie table for the ROC and the calibration
         roc_val = _roc(*table)
     with _stage("calibration"):
         calib = _calibration(*table, min_positives=CALIBRATION_MIN_POSITIVES)
 
-    scored = [*zip(plan.generation_ids, repeat("generation"), y_gen.tolist(), p_gen.tolist()),
-              *zip(plan.validation_ids, repeat("validation"), y_val.tolist(), p_val.tolist())]
-
     return StudyReport(
         selection=selection,
         dataset_summary=summary,
-        split_plan=plan,
+        ids=ids,
+        split_rows=(gen, val),
+        labels=y,
+        probabilities=p,
         univariate=uni,
         model=model,
         roc_generation=roc_gen,
         roc_validation=roc_val,
         calibration=calib,
-        scored_records=scored,
     )
 
 

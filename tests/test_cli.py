@@ -265,6 +265,23 @@ def test_io_error_exit_code(tmp_path, capsys):
     assert main(["report", "--study", str(tmp_path / "missing.json")]) == 4
 
 
+def test_closed_stdout_exits_4(tmp_path):
+    """A reader that stops early leaves output undelivered: `score` exits 4 with one line."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # 5k listings of about 120 tokens: the `--explain` lines far outgrow a pipe buffer.
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "bench_inputs.py"),
+                    "score-listings", "1", str(tmp_path)], env=env, check=True)
+    proc = subprocess.Popen([sys.executable, "-m", "gamiscreen", "score", "--explain",
+                             "--input", str(tmp_path / "listings.csv")],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b'{"id": "listing000000"')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 4
+    assert err == b"error: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize("line", ["[1, 2]", "7", '"text"', "{bad json", '{"id": "a"',
                                   '{"store": 5}', '{"title": ["x"]}', '{"id": ["a"]}',
                                   '{"id": 1.5}', '{"id": true}'])
@@ -754,6 +771,38 @@ def test_evaluate_memory_is_flat_in_text_length(tmp_path, capsys, split):
         outs[tag] = capsys.readouterr().out
     assert outs["short"] == outs["long"]  # the filler matches no keyword
     assert peaks["long"] - peaks["short"] < 0.1 * extra_bytes
+
+
+def test_train_memory_per_record_is_at_most_evaluates(tmp_path, capsys):
+    # `train` without `--report` keeps per labeled listing its id, label, pattern row, split
+    # position and probability, and no per-record copy of them: from 4k to 8k listings its
+    # tracemalloc peak grows per listing by no more than that of `evaluate --split validation`.
+    import gamiscreen as g
+    ds = synthetic_corpus(g.pretrained_model(), g.pretrained_grouping(), n=8_000, seed=31)
+    paths = {n: tmp_path / f"{n}.csv" for n in (4_000, 8_000)}
+    for n, path in paths.items():
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["id", "store", "title", "description", "gamification_label"])
+            w.writerows((r.id, r.store, r.title, r.description, r.gamification_label)
+                        for r in ds.records[:n])
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--dataset", str(paths[4_000]), "--out", model]) == 0
+    growth = {}
+    for argv in (["train", "--out", str(tmp_path / "other.json"), "--dataset"],
+                 ["evaluate", "--model", model, "--split", "validation", "--dataset"]):
+        assert main(argv + [str(paths[4_000])]) == 0  # a cold first run would add its imports
+        peaks = {}
+        for n, path in paths.items():
+            tracemalloc.start()
+            try:
+                assert main(argv + [str(path)]) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        growth[argv[0]] = (peaks[8_000] - peaks[4_000]) / 4_000
+    capsys.readouterr()
+    assert growth["train"] <= growth["evaluate"], growth
 
 
 def test_train_from_csv_matches_dataset_file(corpus_csv, tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gamiscreen as g
+from gamiscreen.cli import main
 from gamiscreen.errors import (
     DuplicateIdError,
     InputError,
@@ -534,6 +535,32 @@ class TestRunStudy:
         for r in recs:
             assert r["probability"] == g.predict(report.model, bits[r["id"]])
 
+    @pytest.mark.parametrize("seed", [4, 11])
+    def test_report_records_are_the_split(self, small_corpus, grouping, tmp_path, capsys, seed):
+        # The records are `split`'s generation ids, then its validation ids, each with its
+        # group, its own label and the model's probability for its bits; the split block and
+        # `train`'s stdout give the two groups' sizes.
+        report = run_study(small_corpus.records, seed=seed)
+        doc = report.to_dict()
+        plan = split(Dataset(small_corpus.records), seed)
+        assert [(r["id"], r["group"]) for r in doc["records"]] == [
+            *((i, "generation") for i in plan.generation_ids),
+            *((i, "validation") for i in plan.validation_ids)]
+        by_id = {r.id: r for r in small_corpus.records}
+        for rec in doc["records"]:
+            app = by_id[rec["id"]]
+            assert type(rec["label"]) is int and rec["label"] == app.gamification_label
+            assert rec["probability"] == predict(report.model,
+                                                 extract_features(app, grouping).bits)
+        sizes = {"n_generation": len(plan.generation_ids),
+                 "n_validation": len(plan.validation_ids)}
+        assert doc["split"] == {"seed": seed, **sizes}
+        save_dataset(small_corpus, tmp_path / "dataset.json")
+        assert main(["train", "--dataset", str(tmp_path / "dataset.json"), "--seed", str(seed),
+                     "--out", str(tmp_path / "model.json")]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert {k: out[k] for k in sizes} == sizes
+
     def test_grouping_keyword_outside_bundled_lexicon(self):
         # "zorblax" is in no bundled lexicon; its bit must still be set and fitted.
         grouping = VariableGrouping(variables=(("A", frozenset({"quiz"})),
@@ -560,8 +587,8 @@ class TestRunStudy:
             {extract_features(r, grouping).bits for r in labeled})
         assert len(calls[0]) < len(labeled) / 2
         bits = {r.id: extract_features(r, grouping).bits for r in labeled}
-        for rid, _, _, p in report.scored_records:
-            assert p == predict(report.model, bits[rid])
+        for rec in report.to_dict()["records"]:
+            assert rec["probability"] == predict(report.model, bits[rec["id"]])
 
     @pytest.mark.parametrize("selection", ["forced", "strict"])
     def test_screen_and_fit_get_pattern_counts(self, small_corpus, grouping, monkeypatch,
@@ -576,7 +603,7 @@ class TestRunStudy:
             monkeypatch.setattr(f"gamiscreen.pipeline.{name}", spy)
         report = run_study(small_corpus.records, seed=9, selection=selection)
         records = {r.id: r for r in small_corpus.labeled()}
-        gen = [records[i] for i in report.split_plan.generation_ids]
+        gen = [records[report.ids[i]] for i in report.split_rows[0]]
         n_patterns = len({extract_features(r, grouping).bits for r in gen})
         assert n_patterns < len(gen) / 2
         positives = sum(r.gamification_label for r in gen)
