@@ -128,7 +128,7 @@ def _tie_table(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InputError("scores and labels must be equal-length 1-d arrays")
     positive = labels == 1.0
-    if np.count_nonzero(positive) + np.count_nonzero(labels == 0.0) != labels.size:
+    if np.count_nonzero(labels) != np.count_nonzero(positive):
         raise InputError("labels must be binary (0/1)")
     values, count, pos = tally(scores, positive)
     if np.isnan(values[-1:]).any():  # NaN sorts last

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from collections.abc import Iterator, Sized
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import islice
 from random import Random
@@ -264,18 +264,15 @@ def _check_seed(seed: int) -> None:
         raise InputError(f"seed must be nonnegative, got {seed}")
 
 
-def split_rows(labeled: Sized, seed: int) -> tuple[list[int], list[int]]:
-    """The generation and validation positions in `labeled`, as `split` cuts them. Only its
-    length is read: the swaps of ``Random.shuffle`` depend on it alone, so positions move
-    as ids do, and the labeled ids, records or labels all give the same positions."""
+def split_rows(n: int, seed: int) -> list[np.ndarray]:
+    """The generation and validation positions among `n` labeled records, as `split` cuts them:
+    two intp arrays, the first round(2n/3) positions of the shuffled 0..n-1 and the rest."""
     _check_seed(seed)
-    n = len(labeled)
     if n < 3:
         raise TooFewRecordsError(f"need at least 3 labeled records to split, got {n}")
     rows = list(range(n))
     Random(seed).shuffle(rows)
-    n_gen = round(2 * n / 3)
-    return rows[:n_gen], rows[n_gen:]
+    return np.split(np.array(rows, dtype=np.intp), [round(2 * n / 3)])
 
 
 def split(dataset: Dataset, seed: int) -> SplitPlan:
@@ -286,8 +283,8 @@ def split(dataset: Dataset, seed: int) -> SplitPlan:
     and dataset give a byte-identical plan.
     """
     labeled = dataset.labeled()
-    return SplitPlan(seed, *(tuple(labeled[i].id for i in rows)
-                             for rows in split_rows(labeled, seed)))
+    return SplitPlan(seed, *(tuple(labeled[i].id for i in rows.tolist())
+                             for rows in split_rows(len(labeled), seed)))
 
 
 def pattern_table(bits, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +304,7 @@ class StudyReport:
     selection: str
     dataset_summary: dict
     ids: list                    # the labeled records' ids, in read order
-    split_rows: tuple            # (generation, validation) positions in `ids`
+    split_rows: tuple            # (generation, validation) intp positions in `ids`
     labels: np.ndarray           # uint8, one per id
     probabilities: np.ndarray    # the model's, one per id
     univariate: list
@@ -340,7 +337,8 @@ class StudyReport:
             "calibration": calibration_to_dict(self.calibration),
             "records": [
                 {"id": self.ids[i], "group": group, "label": labels[i], "probability": probs[i]}
-                for group, rows in zip(("generation", "validation"), self.split_rows) for i in rows
+                for group, rows in zip(("generation", "validation"), self.split_rows)
+                for i in rows.tolist()
             ],
         }
 
@@ -364,20 +362,19 @@ def _stage(name: str):
         raise
 
 
-def _labeled_patterns(records, grouping: VariableGrouping) -> tuple:
-    """The one pass of `run_study` and `evaluate` over `records`: the summary `_counted` gives,
-    then the labeled records' ids and 0/1 labels (a uint8 array), and the `pattern_table` of
-    their bits under `grouping`. Each record is extracted as it is read, and none is kept."""
-    summary, ids, labels = {}, [], []
+def _labeled_patterns(labeled, grouping: VariableGrouping) -> tuple:
+    """The labeled pass of `run_study` and `evaluate`: the 0/1 labels of the records `labeled`
+    (a uint8 array) and the `pattern_table` of their bits under `grouping`. Each record is
+    extracted as it is read, and none is kept."""
+    labels = bytearray()
 
     def bits():
-        for r in _counted(records, summary):
-            ids.append(r.id)
+        for r in labeled:
             labels.append(r.gamification_label)
             yield extract_features(r, grouping).bits
 
     patterns, rows = pattern_table(bits(), len(grouping.names))
-    return summary, ids, np.array(labels, dtype=np.uint8), patterns, rows
+    return np.frombuffer(labels, dtype=np.uint8), patterns, rows
 
 
 def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
@@ -393,14 +390,15 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
     _check_seed(seed)
     grouping = grouping or default_grouping()
     names = grouping.names
-    summary, ids, y, patterns, rows = _labeled_patterns(records, grouping)
-    gen, val = split_rows(ids, seed)
+    summary, ids = {}, []
+    y, patterns, rows = _labeled_patterns(
+        (ids.append(r.id) or r for r in _counted(records, summary)), grouping)
+    gen, val = split_rows(len(ids), seed)
     # The screen and fit get the generation group's patterns, with records and positives at each.
     used, n_gen, e_gen = tally(rows[gen], y[gen] == 1)
     X_gen = patterns[used]
 
-    with _stage("univariate screen"):
-        uni = univariate_screen(X_gen, e_gen, names=names, n=n_gen)
+    uni = univariate_screen(X_gen, e_gen, names=names, n=n_gen)
 
     if selection == "forced":
         selected = tuple(names)
@@ -423,8 +421,7 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
     with _stage("validation ROC"):
         table = _tie_table(p[val], y[val])  # one tie table for the ROC and the calibration
         roc_val = _roc(*table)
-    with _stage("calibration"):
-        calib = _calibration(*table, min_positives=CALIBRATION_MIN_POSITIVES)
+    calib = _calibration(*table, min_positives=CALIBRATION_MIN_POSITIVES)
 
     return StudyReport(
         selection=selection,
@@ -455,9 +452,9 @@ def evaluate(model: FittedModel, records, split: str = "all", seed: int | None =
             raise InputError("model records no split seed; "
                              f"give --seed to evaluate the {split} group")
         _check_seed(seed)
-    y, patterns, rows = _labeled_patterns(records, grouping)[2:]
+    y, patterns, rows = _labeled_patterns(_counted(records, {}), grouping)
     if split != "all":
-        group = split_rows(y, seed)[split == "validation"]
+        group = split_rows(y.size, seed)[split == "validation"]
         # The group's own patterns, so each of them is computed once and no other is.
         used, rows = np.unique(rows[group], return_inverse=True)
         y, patterns = y[group], patterns[used]

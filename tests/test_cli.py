@@ -420,7 +420,7 @@ def test_evaluate_makes_one_probability_per_pattern(corpus_csv, tmp_path, monkey
     # one `probabilities` call, on exactly the distinct patterns of the evaluated group
     labeled = g.ingest(corpus_csv).labeled()
     if split == "validation":
-        labeled = [labeled[i] for i in split_rows(labeled, 7)[1]]
+        labeled = [labeled[i] for i in split_rows(len(labeled), 7)[1]]
     grouping = g.load_model(model).grouping
     assert len(calls) == 1
     assert sorted(map(tuple, calls[0])) == sorted(

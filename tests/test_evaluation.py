@@ -650,8 +650,13 @@ class TestCalibration:
     @pytest.mark.parametrize("statistic", [roc_auc, calibration_strata])
     def test_labels_summing_to_a_binary_count_are_refused(self, statistic):
         # their sum, 2, and mean, 0.5, look binary; only a check of each label refuses them
-        with pytest.raises(InputError, match="^labels must be binary"):
-            statistic([0.1, 0.2, 0.3, 0.4], [2, -1, 1, 0])
+        for labels in ([2, -1, 1, 0], [math.nan, 1, 0, 1], [math.inf, 1, 0, 1],
+                       [-math.inf, 1, 0, 1], [0.5, 0.5, 1, 0]):
+            with pytest.raises(InputError, match="^labels must be binary"):
+                statistic([0.1, 0.2, 0.3, 0.4], labels)
+        # -0.0 equals 0.0, so it is a negative label
+        assert (statistic([0.1, 0.2, 0.3, 0.4], [-0.0, 1, 0, 1])
+                == statistic([0.1, 0.2, 0.3, 0.4], [0.0, 1, 0, 1]))
 
     def test_text_rendering(self):
         report = calibration_strata(np.linspace(0, 1, 40),

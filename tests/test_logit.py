@@ -135,6 +135,11 @@ class TestFit:
         with pytest.raises((SingularMatrixError, SeparationError)):
             fit_logistic(np.column_stack([x, x]), y, names=("a", "b"))
 
+    def test_solve_refuses_a_non_finite_step(self):
+        # a subnormal pivot is not singular to LAPACK, but its step overflows to inf
+        with pytest.raises(SingularMatrixError):
+            logit._solve(np.array([[1e-320]]), np.array([1.0]))
+
     @pytest.mark.parametrize("X, y, names, message", [
         (np.ones(4), np.ones(4), None, "feature matrix must be 2-dimensional"),
         (np.ones((4, 1)), np.ones(3), None, "outcome length (3,) does not match 4 rows"),

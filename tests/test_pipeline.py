@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import tracemalloc
@@ -405,8 +406,8 @@ class TestSplit:
         Random(seed).shuffle(ids)
         cut = round(2 * len(ids) / 3)
         assert split(ds, seed) == SplitPlan(seed, tuple(ids[:cut]), tuple(ids[cut:]))
-        gen, val = split_rows(labeled, seed)
-        assert [labeled[i].id for i in gen + val] == ids
+        gen, val = split_rows(len(labeled), seed)
+        assert [labeled[i].id for i in [*gen, *val]] == ids
 
 
 class TestRunStudy:
@@ -618,6 +619,25 @@ class TestRunStudy:
         run_study(small_corpus.records, seed=9).to_json(b)
         assert a.getvalue() == b.getvalue()
 
+    def test_report_memory_per_record(self, pretrained, grouping):
+        # Per labeled listing a report holds an id reference, a uint8 label, an intp split
+        # position and a float64 probability: 25 B and the arrays' slack, not a boxed position.
+        corpus = synthetic_corpus(pretrained, grouping, n=20_000, seed=33).records
+        inputs = {n: corpus[:n] for n in (10_000, 20_000)}
+        run_study(inputs[10_000], grouping, seed=5)  # a cold first run would add its caches
+        held = {}
+        for n, records in inputs.items():
+            tracemalloc.start()
+            try:
+                report = run_study(records, grouping, seed=5)
+                gc.collect()  # empties the freelists, which hold no part of the report
+                held[n] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(report.ids) == n
+            del report
+        assert (held[20_000] - held[10_000]) / 10_000 <= 48
+
 
 class TestEvaluate:
     @pytest.mark.parametrize("selection", ["forced", "strict"])
@@ -671,7 +691,7 @@ class TestEvaluate:
     def test_explicit_seed_splits_without_a_model_seed(self, pretrained, small_corpus):
         assert pretrained.seed is None
         labeled = small_corpus.labeled()
-        group = [labeled[i] for i in split_rows(labeled, 4)[1]]
+        group = [labeled[i] for i in split_rows(len(labeled), 4)[1]]
         assert (evaluate(pretrained, small_corpus.records, "validation", seed=4)
                 == {**evaluate(pretrained, group), "split": "validation"})
 
