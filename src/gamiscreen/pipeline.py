@@ -15,6 +15,8 @@ import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import islice
+from json.encoder import encode_basestring_ascii as quote  # what `json.dumps` does to a str
+from operator import itemgetter
 from random import Random
 
 import numpy as np
@@ -54,7 +56,8 @@ from .textfeatures import (
     AppRecord,
     VariableGrouping,
     default_grouping,
-    extract_features,
+    extract_features,  # noqa: F401  (the traced benchmark wraps it here)
+    feature_code,
     tokenize,
 )
 
@@ -63,6 +66,7 @@ SCORE_CHUNK = 1024               # records scored and written together
 
 REQUIRED_COLUMNS = ("id", "store", "title", "description")
 READ_COLUMNS = REQUIRED_COLUMNS + ("gamification_label", "app_type", "language")
+LABELS = {"": None, "0": 0, "1": 1}  # label text: "" is unlabeled
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +105,23 @@ def _counted(records, summary: dict) -> Iterator[AppRecord]:
                    n_positive=n_pos, prevalence=(n_pos / n_labeled) if n_labeled else None)
 
 
-def _parse_record(row: dict, rownum: int) -> AppRecord:
-    """Read and convert one row; `AppRecord` checks the values, and its errors name the row."""
+def _record(rownum, record_id, store, title, description, label, app_type, language) -> AppRecord:
+    """The record of one row's fields, in `READ_COLUMNS` order, with a label text mapped by
+    `LABELS`; `AppRecord` checks the values, and its errors name the row."""
+    label = LABELS.get(label, label) if isinstance(label, str) else label
+    try:
+        return AppRecord(record_id, store.strip().lower(), title, description, label,
+                         app_type or None, language or None)
+    except UnknownStoreError:
+        raise UnknownStoreError(rownum, store) from None
+    except InputError as exc:
+        raise ParseError(rownum, str(exc)) from exc
+
+
+def _parse_record(row, rownum: int) -> AppRecord:
+    """Check the types of one JSON record's fields, then read it with `_record`."""
+    if not isinstance(row, dict):
+        raise ParseError(rownum, "record is not an object")
     for col in REQUIRED_COLUMNS:
         if row.get(col) is None:
             raise ParseError(rownum, f"missing required field {col!r}")
@@ -111,22 +130,22 @@ def _parse_record(row: dict, rownum: int) -> AppRecord:
     for col in ("store", "title", "description", "app_type", "language"):
         if not isinstance(row.get(col), (str, type(None))):
             raise ParseError(rownum, f"field {col!r} must be a string")
-    label = row.get("gamification_label")  # CSV text: "" is unlabeled
-    label = {"": None, "0": 0, "1": 1}.get(label, label) if isinstance(label, str) else label
-    try:
-        return AppRecord(
-            id=str(row["id"]),
-            store=row["store"].strip().lower(),
-            title=row["title"],
-            description=row["description"],
-            gamification_label=label,
-            app_type=row.get("app_type") or None,
-            language=row.get("language") or None,
-        )
-    except UnknownStoreError:
-        raise UnknownStoreError(rownum, row["store"]) from None
-    except InputError as exc:
-        raise ParseError(rownum, str(exc)) from exc
+    return _record(rownum, str(row["id"]), *map(row.get, READ_COLUMNS[1:]))
+
+
+def _csv_records(reader, header: list[str]) -> Iterator[AppRecord]:
+    """The records of the rows of `reader` after its `header`, each read by column position:
+    CSV fields are always text. A row is the file line on which its record ends."""
+    width = len(header)
+    # An optional column the header lacks reads the empty field appended to each row.
+    read = itemgetter(*(header.index(c) if c in header else width for c in READ_COLUMNS))
+    for row in reader:
+        if not row:  # a blank line
+            continue
+        if len(row) != width:
+            raise ParseError(reader.line_num, f"{len(row)} fields, but the header has {width}")
+        row.append("")
+        yield _record(reader.line_num, *read(row))
 
 
 def _fields(pairs: list) -> dict:
@@ -170,7 +189,6 @@ def read_records(path) -> Iterator[AppRecord]:
     the parse reaches it, after every record before it has been yielded.
     """
     path = str(path)
-    is_csv = path != "-" and not path.endswith(".json")
     seen: set[str] = set()
     try:
         with contextlib.ExitStack() as stack:
@@ -181,8 +199,8 @@ def read_records(path) -> Iterator[AppRecord]:
                                   newline=None if path == "-" else "")
             stack.callback(fh.detach)
             if path == "-":
-                rows = _json_lines(fh)
-            elif is_csv:
+                records = (_parse_record(row, i) for row, i in _json_lines(fh))
+            elif not path.endswith(".json"):
                 reader = csv.reader(fh, strict=True)
                 header = next(reader, [])
                 missing = [c for c in REQUIRED_COLUMNS if c not in header]
@@ -191,8 +209,7 @@ def read_records(path) -> Iterator[AppRecord]:
                 repeated = [c for c in READ_COLUMNS if header.count(c) > 1]
                 if repeated:
                     raise ParseError(None, f"repeated columns: {', '.join(repeated)}")
-                # Blank lines are skipped; a row is the file line on which its record ends.
-                rows = ((row, reader.line_num) for row in reader if row)
+                records = _csv_records(reader, header)
             else:
                 # A JSON document is parsed whole before its first record is checked.
                 try:
@@ -203,16 +220,8 @@ def read_records(path) -> Iterator[AppRecord]:
                     doc = doc["records"]
                 if not isinstance(doc, list):
                     raise ParseError(None, "expected a JSON array of records")
-                rows = ((r, i) for i, r in enumerate(doc, start=1))
-            for row, rownum in rows:
-                if is_csv:
-                    if len(row) != len(header):
-                        raise ParseError(
-                            rownum, f"{len(row)} fields, but the header has {len(header)}")
-                    row = dict(zip(header, row))
-                elif not isinstance(row, dict):
-                    raise ParseError(rownum, "record is not an object")
-                record = _parse_record(row, rownum)
+                records = (_parse_record(row, i) for i, row in enumerate(doc, start=1))
+            for record in records:
                 if record.id in seen:
                     raise DuplicateIdError(record.id)
                 seen.add(record.id)
@@ -287,12 +296,15 @@ def split(dataset: Dataset, seed: int) -> SplitPlan:
                              for rows in split_rows(len(labeled), seed)))
 
 
-def pattern_table(bits, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct k-bit tuples of the iterable `bits`, first seen first, as an (m, k) uint8
-    matrix, and the row of that matrix for each tuple: ``patterns[rows]`` is every tuple."""
-    index: dict[tuple[int, ...], int] = {}
-    rows = np.fromiter((index.setdefault(b, len(index)) for b in bits), dtype=np.intp)
-    return np.array(list(index), dtype=np.uint8).reshape(len(index), k), rows
+def pattern_table(codes, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct k-bit `feature_code`s of the iterable `codes`, first seen first, unpacked
+    once each to an (m, k) uint8 matrix, and the row of that matrix for each code."""
+    index: dict[int, int] = {}
+    rows = np.fromiter((index.setdefault(c, len(index)) for c in codes), dtype=np.intp)
+    width = (k + 7) // 8
+    packed = np.frombuffer(b"".join(c.to_bytes(width, "big") for c in index), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(len(index), width), axis=1)
+    return np.ascontiguousarray(bits[:, 8 * width - k:]), rows
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +376,16 @@ def _stage(name: str):
 
 def _labeled_patterns(labeled, grouping: VariableGrouping) -> tuple:
     """The labeled pass of `run_study` and `evaluate`: the 0/1 labels of the records `labeled`
-    (a uint8 array) and the `pattern_table` of their bits under `grouping`. Each record is
+    (a uint8 array) and the `pattern_table` of their codes under `grouping`. Each record is
     extracted as it is read, and none is kept."""
     labels = bytearray()
 
-    def bits():
+    def codes():
         for r in labeled:
             labels.append(r.gamification_label)
-            yield extract_features(r, grouping).bits
+            yield feature_code(r, grouping)[0]
 
-    patterns, rows = pattern_table(bits(), len(grouping.names))
+    patterns, rows = pattern_table(codes(), len(grouping.names))
     return np.frombuffer(labels, dtype=np.uint8), patterns, rows
 
 
@@ -493,41 +505,51 @@ def iter_scores(model: FittedModel, records) -> Iterator[ScoreResult]:
     its chunk of `_score_chunks` has been read whole: an input that fails partway yields every
     chunk before the fault. A model without keywords raises here, before any record is taken.
     """
-    chunks, names = _score_chunks(model, records), model.grouping.names
-    return (ScoreResult(record.id, probs[row], tuple(sorted(fv.matched_keywords)), fv.bits,
-                        dict(zip(names, terms[row])), flag)
-            for chunk, features, rows, flags, probs, terms in chunks
-            for record, fv, row, flag in zip(chunk, features, rows, flags))
+    chunks, names, terms = _score_chunks(model, records), model.grouping.names, _terms(model)
+    return (ScoreResult(record.id, probs[row], tuple(sorted(matched)), tuple(bits[row]),
+                        {n: t[b] for n, t, b in zip(names, terms, bits[row])},
+                        ("no_text",) if empty else ())
+            for chunk, features, rows, no_text, probs, bits in chunks
+            for record, (_, matched), row, empty in zip(chunk, features, rows, no_text))
 
 
 def write_scores(model: FittedModel, records, write, explain: bool) -> None:
     """Pass `score`'s lines to `write`, one call per chunk of `_score_chunks` before the next
     is read; each line is ``json.dumps(result.to_dict(explain))`` for a result of `iter_scores`.
 
-    Each distinct (bits, flags) pair is encoded once, as the probability and contributions
-    follow from the bits and the flags from the text, and each keyword once per run. A model
-    without keywords raises before any record is read.
+    Each distinct (code, no_text) pair is encoded once, as the probability and contributions
+    follow from the code and the flags from the text; each keyword and each variable's two
+    terms once per run. A model without keywords raises before any record is read.
     """
     chunks, names = _score_chunks(model, records), model.grouping.names
-    keywords = {k: json.dumps(k) for k in model.grouping.all_keywords} if explain else {}
+    keywords = {k: quote(k) for k in model.grouping.all_keywords} if explain else {}
+    fragments = [[f"{quote(n)}: {json.dumps(t)}" for t in off_on]
+                 for n, off_on in zip(names, _terms(model))]
     encoded: dict[tuple, tuple[str, str]] = {}
-    for chunk, features, rows, flags, probs, terms in chunks:
+    for chunk, features, rows, no_text, probs, bits in chunks:
         lines = []
-        for record, fv, row, flag in zip(chunk, features, rows, flags):
-            head, tail = encoded.get((fv.bits, flag)) or encoded.setdefault((fv.bits, flag), (
-                f', "probability": {json.dumps(probs[row])}, "flags": {json.dumps(list(flag))}',
-                f', "contributions": {json.dumps(dict(zip(names, terms[row])))}}}\n'
-                if explain else "}\n"))
+        for record, (code, matched), row, empty in zip(chunk, features, rows, no_text):
+            head, tail = encoded.get((code, empty)) or encoded.setdefault((code, empty), (
+                f', "probability": {json.dumps(probs[row])}, '
+                f'"flags": {json.dumps(["no_text"] if empty else [])}',
+                ', "contributions": {' + ", ".join([f[b] for f, b in zip(fragments, bits[row])])
+                + "}}\n" if explain else "}\n"))
             if explain:
-                matched = ", ".join([keywords[k] for k in sorted(fv.matched_keywords)])
+                matched = ", ".join([keywords[k] for k in sorted(matched)])
                 head = f'{head}, "matched_keywords": [{matched}]'
-            lines.append(f'{{"id": {json.dumps(record.id)}{head}{tail}')
+            lines.append(f'{{"id": {quote(record.id)}{head}{tail}')
         write("".join(lines))
 
 
+def _terms(model: FittedModel) -> list[tuple[float, float]]:
+    """Each variable's log-odds term with its bit off and on, as `contributions` gives them."""
+    k = len(model.feature_names)
+    return list(zip(*contributions(model, [[0] * k, [1] * k]).tolist()))
+
+
 def _score_chunks(model: FittedModel, records) -> Iterator[tuple]:
-    """Check the model, then per ``SCORE_CHUNK`` records yield them, their features, pattern
-    rows and flags, and each pattern's probability and contributions (one call each)."""
+    """Check the model, then per ``SCORE_CHUNK`` records yield them, their `feature_code`s,
+    pattern rows and whether each lacks text, and each pattern's probability and bits."""
     _keywords(model)
     return _chunks(model, iter(records))
 
@@ -541,11 +563,11 @@ def _keywords(model: FittedModel) -> VariableGrouping:
 
 def _chunks(model: FittedModel, records: Iterator[AppRecord]) -> Iterator[tuple]:
     while chunk := list(islice(records, SCORE_CHUNK)):
-        features = [extract_features(r, model.grouping) for r in chunk]
-        patterns, rows = pattern_table((fv.bits for fv in features), len(model.grouping.names))
-        flags = [() if tokenize(r.text) else ("no_text",) for r in chunk]
-        yield (chunk, features, rows.tolist(), flags, probabilities(model, patterns).tolist(),
-               contributions(model, patterns).tolist())
+        features = [feature_code(r, model.grouping) for r in chunk]
+        patterns, rows = pattern_table((c for c, _ in features), len(model.grouping.names))
+        no_text = [not tokenize(r.text) for r in chunk]
+        yield (chunk, features, rows.tolist(), no_text, probabilities(model, patterns).tolist(),
+               patterns.tolist())
         del chunk[:], features[:]  # emptied in place: no consumer holds them during the next read
 
 

@@ -140,9 +140,12 @@ class VariableGrouping:
         raise KeyError(name)
 
     @cached_property
-    def bit_index(self) -> dict[str, int]:
-        """Member keyword -> position of its variable's bit; built once."""
-        return {k: i for i, (_, members) in enumerate(self.variables) for k in members}
+    def weights(self) -> dict[str, int]:
+        """Member keyword -> ``1 << (k - 1 - i)``, its variable i's bit in a listing's code, of
+        which the first variable is the highest bit; built once."""
+        k = len(self.variables)
+        return {kw: 1 << (k - 1 - i) for i, (_, members) in enumerate(self.variables)
+                for kw in members}
 
     def check_against(self, lexicon: Lexicon) -> None:
         missing = self.all_keywords - lexicon.keywords
@@ -158,14 +161,22 @@ class FeatureVector:
     matched_keywords: frozenset[str]
 
 
-def extract_features(record: AppRecord, grouping: VariableGrouping) -> FeatureVector:
-    """The grouping keywords appearing as whole tokens in the listing, and its bits."""
+def feature_code(record: AppRecord, grouping: VariableGrouping) -> tuple[int, frozenset[str]]:
+    """The listing's code, the OR of the `grouping.weights` of its matched keywords, and those
+    keywords: the grouping keywords appearing as whole tokens in its text."""
     matched = grouping.all_keywords.intersection(tokenize(record.text))
-    bits = [0] * len(grouping.variables)
-    index = grouping.bit_index
+    code, weights = 0, grouping.weights
     for keyword in matched:
-        bits[index[keyword]] = 1
-    return FeatureVector(bits=tuple(bits), matched_keywords=matched)
+        code |= weights[keyword]
+    return code, matched
+
+
+def extract_features(record: AppRecord, grouping: VariableGrouping) -> FeatureVector:
+    """The listing's `feature_code`, unpacked to one bit per variable."""
+    code, matched = feature_code(record, grouping)
+    k = len(grouping.variables)
+    return FeatureVector(bits=tuple((code >> (k - 1 - i)) & 1 for i in range(k)),
+                         matched_keywords=matched)
 
 
 def load_lexicon_file(source) -> tuple[Lexicon, VariableGrouping]:

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import tracemalloc
+import unittest.mock
 from dataclasses import replace
 from datetime import datetime
 from random import Random
@@ -315,6 +316,61 @@ class TestIngest:
             monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
             assert ingest("-").records == plain
 
+    @pytest.mark.parametrize("header", [
+        ["description", "extra", "store", "id", "title"],
+        ["language", "title", "gamification_label", "id", "extra", "description", "app_type",
+         "store"],
+    ], ids=["no optional columns", "every column"])
+    def test_csv_columns_are_read_by_name(self, tmp_path, header):
+        # Columns in any order, and one the reader does not read: the records are those of
+        # the JSON holding the same fields.
+        rows = [
+            {"id": "a", "store": " IOS", "title": "Quiz é", "description": "track, fun",
+             "gamification_label": "1", "app_type": "health", "language": "en", "extra": "x"},
+            {"id": "7", "store": "android", "title": "", "description": "line\nbreak",
+             "gamification_label": "", "app_type": "", "language": "", "extra": ""},
+            {"id": "c", "store": "other", "title": "T", "description": "",
+             "gamification_label": "0", "app_type": "misc", "language": "de", "extra": "y"},
+        ]
+        csv_path, json_path = tmp_path / "in.csv", tmp_path / "in.json"
+        write_csv(csv_path, [{c: r[c] for c in header} for r in rows], fieldnames=header)
+        read = [c for c in header if c != "extra"]
+        docs = [{c: ({"": None, "0": 0, "1": 1}[r[c]] if c == "gamification_label" else r[c])
+                 for c in read} for r in rows]
+        json_path.write_text(json.dumps(docs), encoding="utf-8")
+        records = ingest(csv_path).records
+        assert records == ingest(json_path).records
+        assert [r.store for r in records] == ["ios", "android", "other"]
+        if "app_type" in header:
+            assert [r.gamification_label for r in records] == [1, None, 0]
+            assert [r.app_type for r in records] == ["health", None, "misc"]
+
+    @pytest.mark.parametrize("header, bad, row, message", [
+        ("id,store,title,description", "b,symbian,T,x", 3,
+         "unknown store: 'symbian' (expected android, ios or other)"),
+        ("id,store,title,description,gamification_label", "b,ios,T,x,2", 3,
+         "gamification_label must be 0 or 1, got '2'"),
+        ("id,store,title,description,gamification_label", "b,ios,T,x,1.0", 3,
+         "gamification_label must be 0 or 1, got '1.0'"),
+        ("id,store,title,description", ",ios,T,x", 3, "record id must be nonempty"),
+        ("id,store,title,description,app_type", "b,ios,T,x,sports", 3,
+         "record 'b': app_type must be one of ('breast_cancer', 'health', 'misc')"),
+        ("id,store,title,description", "b,ios,T", 3, "3 fields, but the header has 4"),
+        ("id,store,title,description", "b,ios,T,x,y", 3, "5 fields, but the header has 4"),
+        ("id,store,title,description", 'q,ios,T,"two\nlines"\nb,symbian,T,x', 5,
+         "unknown store: 'symbian' (expected android, ios or other)"),
+    ], ids=["unknown store", "label 2", "label 1.0", "empty id", "bad app_type", "short row",
+            "long row", "after a quoted line break"])
+    def test_csv_faults_name_their_row(self, tmp_path, header, bad, row, message):
+        path = tmp_path / "in.csv"
+        first = "a,ios,T,quiz" + "," * (header.count(",") - 3)
+        path.write_text(f"{header}\n{first}\n{bad}\n", encoding="utf-8")
+        ids = []
+        with pytest.raises(ParseError) as exc:
+            ids.extend(r.id for r in read_records(path))
+        assert ids == (["a", "q"] if bad.startswith("q,") else ["a"])
+        assert exc.value.row == row and str(exc.value) == f"row {row}: {message}"
+
     def test_dataset_file_is_reproducible(self, monkeypatch, tmp_path):
         class Clock(datetime):
             """A wall clock a day further on at every reading."""
@@ -437,7 +493,7 @@ class TestRunStudy:
 
     def test_unknown_selection_extracts_no_feature(self, small_corpus, monkeypatch):
         extracted = []
-        monkeypatch.setattr("gamiscreen.pipeline.extract_features",
+        monkeypatch.setattr("gamiscreen.pipeline.feature_code",
                             lambda *args: extracted.append(args))
         with pytest.raises(InputError, match="^unknown selection mode: 'bogus'$"):
             run_study(small_corpus.records, seed=3, selection="bogus")
@@ -806,14 +862,20 @@ class TestScore:
         assert score_records(pretrained, iter(records)) == score_records(pretrained, records)
 
     def test_pattern_table(self):
-        bits = [(0, 1, 0), (1, 1, 0), (0, 1, 0), (0, 0, 0), (1, 1, 0)]
-        patterns, rows = pattern_table(iter(bits), 3)
-        assert patterns.dtype == np.uint8
+        # The first variable is the highest bit of a code.
+        codes = [0b010, 0b110, 0b010, 0b000, 0b110]
+        patterns, rows = pattern_table(iter(codes), 3)
+        assert patterns.dtype == np.uint8 and patterns.flags.c_contiguous
         assert patterns.tolist() == [[0, 1, 0], [1, 1, 0], [0, 0, 0]]
         assert rows.tolist() == [0, 1, 0, 2, 1]
-        assert list(map(tuple, patterns[rows].tolist())) == bits
+        assert patterns[rows].tolist() == [[int(b) for b in f"{c:03b}"] for c in codes]
         patterns, rows = pattern_table(iter(()), 3)
         assert patterns.shape == (0, 3) and rows.shape == (0,)
+        # Codes of any width: 70 bits, past a 64-bit word.
+        codes = [1 << 69, 1, (1 << 70) - 1, 1 << 69]
+        patterns, rows = pattern_table(codes, 70)
+        assert rows.tolist() == [0, 1, 2, 0]
+        assert patterns.tolist() == [[1] + [0] * 69, [0] * 69 + [1], [1] * 70]
 
     def test_per_pattern_table_matches_per_record(self, pretrained, small_corpus,
                                                    monkeypatch):
@@ -836,3 +898,110 @@ class TestScore:
         results[0].contributions.clear()
         assert [r.contributions for r in results[1:]] == before[1:]
         assert len({id(r.contributions) for r in results}) == len(results)
+
+
+# Ids that JSON must escape: quotes, backslashes, control characters, lone surrogates and
+# characters beyond the BMP, among any others.
+ID_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", " ", "\ud800", "\udfff", "\U0001f600", "é"])),
+    min_size=1, max_size=8)
+
+
+@st.composite
+def listings(draw):
+    words = sorted(g.pretrained_grouping().all_keywords) + ["walk", "Étoile", "."]
+    texts = st.lists(st.sampled_from(words), max_size=4).map(" ".join)
+    return [AppRecord(id=i, store="ios", description=draw(texts))
+            for i in draw(st.lists(ID_TEXT, min_size=1, max_size=20, unique=True))]
+
+
+def assert_writer_bytes(model, records, chunk):
+    """`write_scores` passes one write per chunk of `chunk` records, and its lines are
+    ``json.dumps(result.to_dict(explain))`` for the results of `score_records`."""
+    with unittest.mock.patch("gamiscreen.pipeline.SCORE_CHUNK", chunk):
+        results = score_records(model, records)
+        for explain in (False, True):
+            writes = []
+            write_scores(model, iter(records), writes.append, explain)
+            assert len(writes) == -(-len(records) // chunk)
+            assert "".join(writes) == "".join(json.dumps(r.to_dict(explain)) + "\n"
+                                              for r in results)
+    return results
+
+
+class TestWriterBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(records=listings(), chunk=st.integers(1, 6))
+    def test_any_id(self, pretrained, records, chunk):
+        assert_writer_bytes(pretrained, records, chunk)
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=listings(), chunk=st.integers(1, 6), data=st.data())
+    def test_extreme_coefficients(self, pretrained, records, chunk, data):
+        values = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 800.0, -800.0, 1.5])
+        width = len(pretrained.coefficients)
+        coefficients = data.draw(st.lists(values, min_size=width, max_size=width))
+        assert_writer_bytes(replace(pretrained, coefficients=np.array(coefficients)),
+                            records, chunk)
+
+    def test_probabilities_zero_and_one(self, pretrained):
+        # -800 overflows `exp` to a probability of exactly 0.0; +800 gives exactly 1.0.
+        model = replace(pretrained, coefficients=np.array(
+            [-800.0, 1600.0, -0.0, 5e-324, *[0.0] * (len(pretrained.coefficients) - 4)]))
+        first = sorted(pretrained.grouping.members(pretrained.feature_names[0]))[0]
+        records = [AppRecord(id=f"r{i}", store="ios", description=text)
+                   for i, text in enumerate([first, "", "walk", f"{first} walk", first])]
+        results = assert_writer_bytes(model, records, 2)
+        assert [r.probability for r in results] == [1.0, 0.0, 0.0, 1.0, 1.0]
+        assert [r.contributions[pretrained.feature_names[1]] for r in results] == [0.0] * 5
+
+
+WIDE = 70  # variables: the first is bit 69 of a listing's code, past any 64-bit word
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """A grouping of `WIDE` variables of two keywords each, and 1,500 labeled records."""
+    grouping = VariableGrouping(tuple((f"V{i:02d}", frozenset({f"kw{i:02d}", f"alt{i:02d}"}))
+                                      for i in range(WIDE)))
+    rng = Random(70)
+    records = []
+    for i in range(1500):
+        chosen = [j for j in range(WIDE) if rng.random() < 0.3]
+        words = [rng.choice((f"kw{j:02d}", f"ALT{j:02d}")) for j in chosen]
+        label = int(rng.random() < 0.3 + 0.4 * (0 in chosen) - 0.2 * (WIDE - 1 in chosen))
+        records.append(AppRecord(id=f"w{i}", store="ios", title=" ".join(words[:2]),
+                                 description=" ".join(words[2:]), gamification_label=label))
+    return grouping, records
+
+
+def tuple_pass(labeled, grouping):
+    """`_labeled_patterns` over `extract_features` tuples: labels, patterns and rows."""
+    labeled, index = list(labeled), {}
+    rows = [index.setdefault(extract_features(r, grouping).bits, len(index)) for r in labeled]
+    return (np.array([r.gamification_label for r in labeled], dtype=np.uint8),
+            np.array(list(index), dtype=np.uint8), np.array(rows, dtype=np.intp))
+
+
+class TestWideGrouping:
+    def test_study_and_evaluate_match_the_tuple_pass(self, wide, monkeypatch):
+        grouping, records = wide
+        report = run_study(records, grouping, seed=4)
+        docs = [json.dumps(report.to_dict())] + [
+            json.dumps(evaluate(report.model, records, s)) for s in ("all", "validation")]
+        monkeypatch.setattr("gamiscreen.pipeline._labeled_patterns", tuple_pass)
+        assert [json.dumps(run_study(records, grouping, seed=4).to_dict())] + [
+            json.dumps(evaluate(report.model, records, s))
+            for s in ("all", "validation")] == docs
+        assert report.model.feature_names == grouping.names
+
+    def test_scores_match_the_tuple_path(self, wide):
+        grouping, records = wide
+        model = run_study(records, grouping, seed=4).model
+        results = assert_writer_bytes(model, records, 400)
+        features = [extract_features(r, grouping) for r in records]
+        assert [r.bits for r in results] == [fv.bits for fv in features]
+        assert [r.matched_keywords for r in results] == [
+            tuple(sorted(fv.matched_keywords)) for fv in features]
+        assert [r.probability for r in results] == [predict(model, fv.bits) for fv in features]
+        assert {r.bits[0] for r in results} == {r.bits[-1] for r in results} == {0, 1}

@@ -12,6 +12,7 @@ from gamiscreen.textfeatures import (
     _TOKEN_RE,
     default_lexicon,
     extract_features,
+    feature_code,
     load_lexicon_file,
     tokenize,
 )
@@ -268,10 +269,15 @@ class TestBitIndexMatchesIntersections:
             fv = extract_features(record_of(chosen), grouping)
             assert fv.bits == intersection_bits(chosen, grouping)
             assert fv.matched_keywords == frozenset(chosen) & grouping.all_keywords
+            # The code is those bits read as a binary number, first variable first.
+            code = int("".join(map(str, fv.bits)), 2)
+            assert feature_code(record_of(chosen), grouping) == (code, fv.matched_keywords)
 
     def test_index_is_per_grouping(self, grouping):
         _, custom = load_lexicon_file(io.StringIO(json.dumps(CUSTOM_LEXICON)))
-        assert custom.bit_index == {"walk": 0, "game": 1, "games": 1, "quiz": 1,
-                                    "story": 2, "diary": 2}
-        assert grouping.bit_index["quiz"] == grouping.names.index("Quizzes")
-        assert set(grouping.bit_index) == grouping.all_keywords
+        # The first variable is the highest bit of a code.
+        assert custom.weights == {"walk": 4, "game": 2, "games": 2, "quiz": 2,
+                                  "story": 1, "diary": 1}
+        k = len(grouping.names)
+        assert grouping.weights["quiz"] == 1 << (k - 1 - grouping.names.index("Quizzes"))
+        assert set(grouping.weights) == grouping.all_keywords
