@@ -45,9 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a model file on a labeled dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--split", choices=("validation", "generation", "all"), default="all")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed of the split to reproduce; the model's own by default")
+    p.add_argument("--split", choices=("validation", "generation", "all"), default="all",
+                   help="a group is cut with the seed the model records")
 
     p = sub.add_parser("score", help="score records with a model (bundled model by default)")
     p.add_argument("--model", default=None)
@@ -91,7 +90,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = logit.load_model(args.model)
-    doc = pipeline.evaluate(model, read_records(args.dataset), args.split, args.seed)
+    doc = pipeline.evaluate(model, read_records(args.dataset), args.split)
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 
@@ -103,13 +102,20 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    study = require_fields(read_json(args.study, "study report"), "study report", records=list,
-                           dataset=dict, roc=dict, calibration=dict)
-    for r in study["records"]:
-        require_fields(r, "study record", group=str, label=int, probability=(int, float))
-    wanted = args.roc_split
-    recs = [r for r in study["records"] if r["group"] == wanted]
+    study = read_json(args.study, "study report")
+    if args.table:  # only the blocks the table prints, checked before any file is written
+        require_fields(study, "study report", dataset=dict, roc=dict, calibration=dict)
+        counts = require_fields(study["dataset"], "study dataset", n_records=int,
+                                n_labeled=int, n_positive=int)
+        aucs = {g: require_fields(study["roc"].get(g), f"study {g} ROC", auc=(int, float),
+                                  auc_ci_low=(int, float), auc_ci_high=(int, float))
+                for g in ("generation", "validation")}
+        calibration = calibration_from_dict(study["calibration"])
     if args.roc_svg or args.roc_csv:
+        records = require_fields(study, "study report", records=list)["records"]
+        for r in records:
+            require_fields(r, "study record", group=str, label=int, probability=(int, float))
+        recs = [r for r in records if r["group"] == args.roc_split]
         roc = roc_auc([r["probability"] for r in recs], [r["label"] for r in recs])
         if args.roc_svg:
             with open(args.roc_svg, "w", encoding="utf-8") as fh:
@@ -118,12 +124,6 @@ def _cmd_report(args) -> int:
             with open(args.roc_csv, "w", encoding="utf-8") as fh:
                 fh.write(roc_csv(roc))
     if args.table:
-        counts = require_fields(study["dataset"], "study dataset", n_records=int,
-                                n_labeled=int, n_positive=int)
-        aucs = {g: require_fields(study["roc"].get(g), f"study {g} ROC", auc=(int, float),
-                                  auc_ci_low=(int, float), auc_ci_high=(int, float))
-                for g in ("generation", "validation")}
-        calibration = calibration_from_dict(study["calibration"])
         print("records: {n_records}  labeled: {n_labeled}  positive: {n_positive}".format(**counts))
         for g, r in aucs.items():
             print(f"AUC ({g}): {r['auc']:.3f} (95% CI {r['auc_ci_low']:.3f}-{r['auc_ci_high']:.3f})")

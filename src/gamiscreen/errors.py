@@ -120,8 +120,7 @@ class OneClassError(StatisticalError):
 
 
 class IncomparableModelsError(InputError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass
 
 
 class DegenerateAgreementError(StatisticalError):

@@ -252,9 +252,7 @@ def save_dataset(dataset: Dataset, path) -> None:
         fh.write("\n")
 
 
-def load_dataset(path) -> Dataset:
-    """Read a dataset.json written by `save_dataset`, or any input `ingest` reads."""
-    return ingest(path)
+load_dataset = ingest  # reads a dataset.json written by `save_dataset`, or any listings file
 
 
 # ---------------------------------------------------------------------------
@@ -450,23 +448,22 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
     )
 
 
-def evaluate(model: FittedModel, records, split: str = "all", seed: int | None = None) -> dict:
+def evaluate(model: FittedModel, records, split: str = "all") -> dict:
     """The document `evaluate` prints: `model` judged on the labeled records of `records`, all
-    of them or the `split` group as `run_study` cuts it with `seed` (the model's own if None).
-    A model without keywords, an unknown `split` or a group split without a nonnegative seed
-    raises before any record is taken."""
+    of them or the `split` group as `run_study` cuts it with the model's recorded seed.
+    A model without keywords, an unknown `split` or a group split of a model whose seed is
+    absent or negative raises before any record is taken."""
     grouping = _keywords(model)
     if split not in ("all", "generation", "validation"):
         raise InputError(f"unknown split: {split!r}")
-    seed = model.seed if seed is None else seed
     if split != "all":
-        if seed is None:
-            raise InputError("model records no split seed; "
-                             f"give --seed to evaluate the {split} group")
-        _check_seed(seed)
+        if model.seed is None:
+            raise InputError(f"model records no split seed, so its {split} group is unknown; "
+                             "use --split all")
+        _check_seed(model.seed)
     y, patterns, rows = _labeled_patterns(_counted(records, {}), grouping)
     if split != "all":
-        group = split_rows(y.size, seed)[split == "validation"]
+        group = split_rows(y.size, model.seed)[split == "validation"]
         # The group's own patterns, so each of them is computed once and no other is.
         used, rows = np.unique(rows[group], return_inverse=True)
         y, patterns = y[group], patterns[used]

@@ -71,7 +71,7 @@ class TestFit:
             math.sqrt(1 / a + 1 / b + 1 / c + 1 / d), abs=1e-6)
 
     @pytest.mark.xfail(raises=SeparationError, strict=True,
-                       reason="ROADMAP open item 5: separation is guessed from BETA_LIMIT = 15, "
+                       reason="ROADMAP open item 7: separation is guessed from BETA_LIMIT = 15, "
                               "so this finite MLE is refused")
     def test_2x2_large_finite_log_odds_ratio(self):
         # a = d = 3000, b = c = 1: the MLE is finite, log OR = log(3000 * 3000) = 16.0127

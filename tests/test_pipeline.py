@@ -719,7 +719,7 @@ class TestEvaluate:
         (False, "all", "model carries no keywords; cannot score raw text"),
         (True, "test", "unknown split: 'test'"),
         (True, "validation",
-         "model records no split seed; give --seed to evaluate the validation group"),
+         "model records no split seed, so its validation group is unknown; use --split all"),
     ], ids=["no keywords", "unknown split", "group split without a seed"])
     def test_refusal_takes_no_record(self, pretrained, small_corpus, keywords, split, message):
         # the bundled model records no split seed
@@ -731,9 +731,9 @@ class TestEvaluate:
         assert str(exc.value) == message
         assert taken == []
 
-    @pytest.mark.parametrize("model_seed, seed", [(None, -1), (3, -1), (-1, None)],
-                             ids=["given", "given over the model's", "the model's"])
-    def test_negative_seed_takes_no_record(self, pretrained, model_seed, seed):
+    @pytest.mark.parametrize("split", ["validation", "generation"],
+                             ids=["the model's", "the model's, generation group"])
+    def test_negative_seed_takes_no_record(self, pretrained, split):
         started = []
 
         def records():
@@ -741,15 +741,8 @@ class TestEvaluate:
             yield from ()
 
         with pytest.raises(InputError, match="^seed must be nonnegative, got -1$"):
-            evaluate(replace(pretrained, seed=model_seed), records(), "validation", seed)
+            evaluate(replace(pretrained, seed=-1), records(), split)
         assert started == []
-
-    def test_explicit_seed_splits_without_a_model_seed(self, pretrained, small_corpus):
-        assert pretrained.seed is None
-        labeled = small_corpus.labeled()
-        group = [labeled[i] for i in split_rows(len(labeled), 4)[1]]
-        assert (evaluate(pretrained, small_corpus.records, "validation", seed=4)
-                == {**evaluate(pretrained, group), "split": "validation"})
 
     @pytest.mark.parametrize("records", [
         [], [AppRecord(id="a", store="ios", description="quiz"),
