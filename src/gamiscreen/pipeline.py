@@ -405,7 +405,7 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
         (ids.append(r.id) or r for r in _counted(records, summary)), grouping)
     gen, val = split_rows(len(ids), seed)
     # The screen and fit get the generation group's patterns, with records and positives at each.
-    used, n_gen, e_gen = tally(rows[gen], y[gen] == 1)
+    used, n_gen, e_gen = tally(rows[gen], y[gen])
     X_gen = patterns[used]
 
     uni = univariate_screen(X_gen, e_gen, names=names, n=n_gen)

@@ -966,7 +966,7 @@ def test_report_table_reads_no_record(tmp_path, capsys, records, error):
     ("report", "--study", _study(calibration={"strata": ["Q1"], "merged": []})),
 ], ids=["model without variables", "model not an object", "model format_version 2",
         "lexicon without keywords",
-        "study without records", "model not JSON", "lexicon not JSON", "study not JSON",
+        "study without dataset", "model not JSON", "lexicon not JSON", "study not JSON",
         "model not UTF-8", "lexicon keyword not a string",
         "lexicon variable keyword not a string", "model variable keyword not a string",
         "model variable keywords not a list",

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -484,6 +487,221 @@ class TestTally:
         values, count, pos = tally(np.array([], dtype=float), np.array([], dtype=bool))
         assert (values.dtype, count.dtype, pos.dtype) == (np.float64, np.intp, np.intp)
         assert values.size == count.size == pos.size == 0
+
+
+def cut_into_pieces(monkeypatch, cores, chunk=None):
+    """Let `tally` cut n keys into min(cores, n) pieces, `chunk` keys packed per step."""
+    monkeypatch.setattr(evaluation, "_CORES", cores)
+    monkeypatch.setattr(evaluation, "_MIN_PIECE", 1)
+    if chunk is not None:
+        monkeypatch.setattr(evaluation, "_PACK_CHUNK", chunk)
+
+
+def spy_pieces(monkeypatch) -> list:
+    """A list that gets (lo, hi, thread) per piece `_packed_tally` packs."""
+    seen, packed_runs = [], evaluation._packed_runs
+
+    def spy(bits, labels, packed, lo, hi, stop):
+        seen.append((lo, hi, threading.current_thread()))
+        return packed_runs(bits, labels, packed, lo, hi, stop)
+
+    monkeypatch.setattr(evaluation, "_packed_runs", spy)
+    return seen
+
+
+def one_piece_tally(keys, labels):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(evaluation, "_CORES", 1)
+        return tally(keys, labels)
+
+
+class TestTallyPieces:
+    @settings(max_examples=100)
+    @given(tied_pairs(PACKED_KEYS, min_size=1), st.integers(1, 4), st.sampled_from([None, 1, 3]))
+    def test_pieces_equal_sorted_dict_count_and_one_piece(self, data, cores, chunk):
+        scores, labels = data
+        keys = np.array(scores, dtype=float)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            cut_into_pieces(monkeypatch, cores, chunk)
+            took, seen = spy_packed_tally(monkeypatch), spy_pieces(monkeypatch)
+            got = tally(keys, np.array(labels, dtype=float))
+        assert took == [True]
+        assert [(lo, hi) for lo, hi, _ in sorted(seen, key=lambda s: s[0])] == \
+            [(len(keys) * i // len(seen), len(keys) * (i + 1) // len(seen))
+             for i in range(len(seen))]
+        assert len(seen) == min(cores, len(keys))
+        assert list(zip(got[0].tolist(), got[1].tolist(), got[2].tolist())) == \
+            sorted_dict_tally(scores, [y == 1 for y in labels])
+        assert_same_tally(got, one_piece_tally(keys, np.array(labels) == 1))
+
+    def test_first_piece_runs_in_the_caller_and_no_thread_outlives_the_call(self, monkeypatch):
+        cut_into_pieces(monkeypatch, 3)
+        seen = spy_pieces(monkeypatch)
+        before = threading.active_count()
+        tally(np.array([0.5, 0.25, 0.5, 1.0, 0.25, 0.5]), np.array([1, 0, 0, 1, 1, 0]))
+        assert threading.active_count() == before
+        by_piece = {lo: thread for lo, _, thread in seen}
+        assert sorted(by_piece) == [0, 2, 4]
+        assert by_piece[0] is threading.current_thread()
+        assert threading.current_thread() not in (by_piece[2], by_piece[4])
+
+    @pytest.mark.parametrize("cores", [2, 3, 4])
+    def test_runs_straddling_piece_boundaries_are_merged(self, monkeypatch, cores):
+        # 12 keys in runs of 4: with 3 or 4 pieces a run crosses a boundary, and with
+        # 2 the 0.5 run is cut in half
+        keys = np.repeat([0.25, 0.5, 0.75], 4)
+        labels = np.array([0, 1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1], dtype=float)
+        cut_into_pieces(monkeypatch, cores)
+        got = tally(keys, labels)
+        assert list(zip(got[0].tolist(), got[1].tolist(), got[2].tolist())) == \
+            [(0.25, 4, 2), (0.5, 4, 2), (0.75, 4, 1)]
+        assert_same_tally(got, one_piece_tally(keys, labels))
+
+    def test_key_positive_in_one_piece_and_negative_in_another(self, monkeypatch):
+        keys = np.array([0.5, 0.5, 0.1, 0.1, 0.1, 0.5, 0.9, 0.5])
+        labels = np.array([1, 1, 0, 1, 0, 0, 1, 0], dtype=float)
+        cut_into_pieces(monkeypatch, 2)  # pieces [0, 4) and [4, 8)
+        got = tally(keys, labels)
+        assert list(zip(got[0].tolist(), got[1].tolist(), got[2].tolist())) == \
+            [(0.1, 3, 1), (0.5, 4, 2), (0.9, 1, 1)]
+        assert_same_tally(got, one_piece_tally(keys, labels))
+
+    @pytest.mark.parametrize("statistic", [roc_auc, calibration_strata])
+    @pytest.mark.parametrize("bad", [2.0, 0.5, math.nan], ids=["2", "0.5", "NaN"])
+    def test_bad_label_only_in_the_last_piece_is_refused(self, monkeypatch, statistic, bad):
+        scores = np.tile([0.1, 0.2, 0.3, 0.4], 4)
+        labels = np.tile([0.0, 1.0], 8)
+        labels[-1] = bad
+        cut_into_pieces(monkeypatch, 4, chunk=2)
+        with pytest.raises(InputError) as exc:
+            statistic(scores, labels)
+        assert str(exc.value) == "labels must be binary (0/1)"
+        # also where the first piece finds a NaN score and stops packing
+        scores[0] = math.nan
+        with pytest.raises(InputError) as exc:
+            statistic(scores, labels)
+        assert str(exc.value) == "labels must be binary (0/1)"
+
+    def test_bad_label_in_the_first_piece_wins_over_a_nan_score_in_the_last(self, monkeypatch):
+        scores, labels = np.tile([0.1, 0.2, 0.3, 0.4], 4), np.tile([0.0, 1.0], 8)
+        scores[-1], labels[0] = math.nan, 3.0
+        cut_into_pieces(monkeypatch, 4)
+        with pytest.raises(InputError) as exc:
+            roc_auc(scores, labels)
+        assert str(exc.value) == "labels must be binary (0/1)"
+
+    @pytest.mark.parametrize("extra", [-0.0, -0.5, math.nan])
+    def test_signed_or_nan_key_only_in_the_last_piece_takes_the_unique_path(
+            self, monkeypatch, extra):
+        rng = np.random.default_rng(23)
+        keys = np.append(rng.integers(0, 4, 39) / 4, extra)
+        positive = rng.random(keys.size) < 0.5
+        cut_into_pieces(monkeypatch, 4, chunk=4)
+        took = spy_packed_tally(monkeypatch)
+        got = tally(keys, positive)
+        assert took == [False]
+        unique, unique_count = np.unique(keys, return_counts=True)
+        assert got[0].tobytes() == unique.tobytes()
+        assert got[1].tolist() == unique_count.tolist()
+        assert got[2].tolist() == [sum(p for k, p in zip(keys.tolist(), positive.tolist())
+                                       if k == v or (v != v and k != k)) for v in unique.tolist()]
+        if extra != extra:
+            with pytest.raises(InputError) as exc:
+                roc_auc(keys, positive)
+            assert str(exc.value) == "scores must not be NaN"
+
+    def test_a_piece_stops_packing_once_another_falls_back(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_PACK_CHUNK", 2)
+        keys = np.array([0.5, 0.25, 0.75, -0.5, 1.0, 0.5])
+        bits, labels = keys.view(np.uint64), np.array([1, 0, 1, 0, 0, 1])
+        packed, stop = np.zeros_like(bits), []
+        assert evaluation._packed_runs(bits, labels, packed, 0, 6, stop) is None
+        assert stop == [2]  # the chunk that holds -0.5
+        packed[:] = 0
+        assert evaluation._packed_runs(bits, labels, packed, 0, 6, stop) is None
+        assert not packed.any()  # a later piece packs nothing
+
+    @pytest.mark.parametrize("failing", [1, 3], ids=["second piece", "last piece"])
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, failing):
+        cut_into_pieces(monkeypatch, 4)
+        seen, packed_runs = [], evaluation._packed_runs
+
+        def fail_in_one_piece(bits, labels, packed, lo, hi, stop):
+            seen.append(threading.current_thread())
+            if lo == failing * 2:
+                raise MemoryError(f"piece at {lo}")
+            return packed_runs(bits, labels, packed, lo, hi, stop)
+
+        monkeypatch.setattr(evaluation, "_packed_runs", fail_in_one_piece)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match=f"^piece at {failing * 2}$"):
+            tally(np.linspace(0, 1, 8), np.tile([0, 1], 4))
+        assert threading.active_count() == before
+        assert len(seen) == 4 and len(set(seen)) == 4
+
+    def test_a_thread_that_cannot_start_leaves_none_running(self, monkeypatch):
+        started = []
+
+        class ThirdFails(threading.Thread):
+            def start(self):
+                if len(started) == 2:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        cut_into_pieces(monkeypatch, 4)
+        monkeypatch.setattr(threading, "Thread", ThirdFails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^can't start new thread$"):
+            tally(np.linspace(0, 1, 8), np.tile([0, 1], 4))
+        assert threading.active_count() == before
+        assert len(started) == 2 and not any(thread.is_alive() for thread in started)
+
+    def test_more_pieces_than_cores_under_frequent_switches(self, monkeypatch):
+        # the pieces write disjoint slices of one array and their own result slots; a lost
+        # or misplaced write would change a count
+        rng = np.random.default_rng(29)
+        keys = rng.integers(0, 40, 4000) / 40
+        labels = (rng.random(keys.size) < keys).astype(float)
+        expected = one_piece_tally(keys, labels)
+        cut_into_pieces(monkeypatch, 16, chunk=64)
+        monkeypatch.setattr(evaluation, "_MIN_PIECE", 100)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                assert_same_tally(tally(keys, labels), expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_default_pieces_equal_one_piece(self):
+        # at the real piece size: two or more pieces on a multi-core machine, one on one core
+        rng = np.random.default_rng(31)
+        keys = rng.integers(0, 3000, 2 * evaluation._MIN_PIECE + 5) / 3000
+        labels = (rng.random(keys.size) < keys).astype(float)
+        got = tally(keys, labels)
+        assert_same_tally(got, one_piece_tally(keys, labels))
+        unique, unique_count = np.unique(keys, return_counts=True)
+        assert got[0].tobytes() == unique.tobytes()
+        assert got[1].tolist() == unique_count.tolist()
+        assert got[2].tolist() == np.bincount(np.searchsorted(unique, keys[labels == 1]),
+                                              minlength=unique.size).tolist()
+
+    def test_cores_are_those_the_process_may_run_on(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert evaluation._CORES == len(os.sched_getaffinity(0))
+        else:
+            assert evaluation._CORES == (os.cpu_count() or 1)
+
+    def test_labels_may_be_bool_or_numbers_and_must_be_binary(self):
+        keys = np.array([0.5, 0.25, 0.5, 1.0])
+        labels = np.array([1, 0, 0, 1])
+        expected = tally(keys, labels == 1)
+        for same in (labels, labels.astype(np.uint8), labels.astype(float)):
+            assert_same_tally(tally(keys, same), expected)
+        for bad_keys in (keys, keys.astype(np.intp)):  # the packed and the unique path
+            with pytest.raises(InputError, match=r"^labels must be binary \(0/1\)$"):
+                tally(bad_keys, np.array([1, 0, 2, 1]))
 
 
 class TestTieTableRoc:
