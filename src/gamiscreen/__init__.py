@@ -40,7 +40,6 @@ from .logit import (
 from .pipeline import (
     Dataset,
     ScoreResult,
-    SplitPlan,
     StudyReport,
     evaluate,
     ingest,

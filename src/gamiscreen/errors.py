@@ -6,6 +6,7 @@ records, mismatched shapes; CLI exit code 2) and ``StatisticalError``
 """
 
 import json
+import sys
 
 
 class GamiscreenError(Exception):
@@ -36,10 +37,10 @@ def require_fields(doc, what: str, **fields) -> dict:
     """Return `doc` if it is a JSON object whose named fields have the given types.
 
     A type is a class, a tuple of classes or ``list[str]``. JSON ``true`` and
-    ``false`` pass for no number, though Python's ``bool`` is an ``int``.
-    Anything else (a missing field, a wrong type, a non-object) raises
-    ``InputError`` naming `what`, so a malformed file exits 2, not with a
-    traceback.
+    ``false`` pass for no number, though Python's ``bool`` is an ``int``, and an
+    integer beyond float64 for no ``(int, float)``. Anything else (a missing
+    field, a wrong type, a non-object) raises ``InputError`` naming `what`, so
+    a malformed file exits 2, not with a traceback.
     """
     if not isinstance(doc, dict):
         raise InputError(f"{what} is not a JSON object")
@@ -47,7 +48,9 @@ def require_fields(doc, what: str, **fields) -> dict:
         value = doc.get(name)
         if not (isinstance(value, list) and all(isinstance(k, str) for k in value)
                 if kind == list[str] else isinstance(value, kind)
-                and not (isinstance(value, bool) and kind is not bool)):
+                and not (isinstance(value, bool) and kind is not bool)
+                and not (isinstance(value, int) and kind == (int, float)
+                         and abs(value) > sys.float_info.max)):
             raise InputError(f"{what} lacks a valid {name!r}")
     return doc
 

@@ -195,9 +195,12 @@ def _packed_runs(bits, labels, packed, lo, hi, stop) -> tuple[np.ndarray, np.nda
 
 
 def _tie_table(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scores' `tally`: distinct scores ascending, with the positives and negatives at each."""
+    """The scores' `tally`: distinct scores ascending, with the positives and negatives at each.
+    Bool, integer and float labels are tallied as they are; any other are read as floats."""
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=float)
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biuf":  # "0"/"1" strings, say
+        labels = labels.astype(float)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InputError("scores and labels must be equal-length 1-d arrays")
     values, count, pos = tally(scores, labels)  # bad labels raise before a NaN score

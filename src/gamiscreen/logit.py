@@ -375,9 +375,11 @@ def model_from_dict(doc: dict) -> FittedModel:
     for v in variables:
         require_fields(v, "model variable", name=str, coefficient=(int, float),
                        standard_error=(int, float))
+    if "intercept_standard_error" in doc:  # absent, it reads as NaN
+        require_fields(doc, "model file", intercept_standard_error=(int, float))
     names = (INTERCEPT_NAME,) + tuple(v["name"] for v in variables)
     coefficients = [doc["intercept"]] + [v["coefficient"] for v in variables]
-    # JSON's NaN and Infinity would score as NaN, an integer beyond float64 not at all.
+    # JSON's NaN and Infinity would score as NaN.
     if not all(abs(c) <= sys.float_info.max for c in coefficients):
         raise InputError("model coefficients must be finite numbers")
     coefficients = np.array(coefficients, dtype=float)

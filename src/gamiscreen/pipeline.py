@@ -78,9 +78,6 @@ class Dataset:
     records: list[AppRecord]
     source: str = "<memory>"
 
-    def labeled(self) -> list[AppRecord]:
-        return [r for r in self.records if r.gamification_label is not None]
-
     def summary(self) -> dict:
         summary: dict = {}
         for _ in _counted(self.records, summary):
@@ -259,39 +256,24 @@ load_dataset = ingest  # reads a dataset.json written by `save_dataset`, or any 
 # Splitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitPlan:
-    seed: int
-    generation_ids: tuple[str, ...]
-    validation_ids: tuple[str, ...]
-
-
 def _check_seed(seed: int) -> None:
     if seed < 0:  # `Random(-7)` shuffles as `Random(7)` does
         raise InputError(f"seed must be nonnegative, got {seed}")
 
 
-def split_rows(n: int, seed: int) -> list[np.ndarray]:
-    """The generation and validation positions among `n` labeled records, as `split` cuts them:
-    two intp arrays, the first round(2n/3) positions of the shuffled 0..n-1 and the rest."""
+def split(n: int, seed: int) -> list[np.ndarray]:
+    """Seeded two-thirds / one-third partition of `n` labeled records, as positions.
+
+    A Fisher-Yates shuffle driven by ``Random(seed)`` permutes 0..n-1; the first
+    round(2n/3) go to the generation group, the rest to validation, as two intp
+    arrays. Identical `n` and seed give an identical split.
+    """
     _check_seed(seed)
     if n < 3:
         raise TooFewRecordsError(f"need at least 3 labeled records to split, got {n}")
     rows = list(range(n))
     Random(seed).shuffle(rows)
     return np.split(np.array(rows, dtype=np.intp), [round(2 * n / 3)])
-
-
-def split(dataset: Dataset, seed: int) -> SplitPlan:
-    """Seeded two-thirds / one-third partition of the labeled records.
-
-    A Fisher-Yates shuffle driven by ``Random(seed)`` permutes the labeled
-    ids; the first round(2n/3) go to the generation group. Identical seed
-    and dataset give a byte-identical plan.
-    """
-    labeled = dataset.labeled()
-    return SplitPlan(seed, *(tuple(labeled[i].id for i in rows.tolist())
-                             for rows in split_rows(len(labeled), seed)))
 
 
 def pattern_table(codes, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -403,7 +385,7 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
     summary, ids = {}, []
     y, patterns, rows = _labeled_patterns(
         (ids.append(r.id) or r for r in _counted(records, summary)), grouping)
-    gen, val = split_rows(len(ids), seed)
+    gen, val = split(len(ids), seed)
     # The screen and fit get the generation group's patterns, with records and positives at each.
     used, n_gen, e_gen = tally(rows[gen], y[gen])
     X_gen = patterns[used]
@@ -448,29 +430,29 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
     )
 
 
-def evaluate(model: FittedModel, records, split: str = "all") -> dict:
+def evaluate(model: FittedModel, records, group: str = "all") -> dict:
     """The document `evaluate` prints: `model` judged on the labeled records of `records`, all
-    of them or the `split` group as `run_study` cuts it with the model's recorded seed.
-    A model without keywords, an unknown `split` or a group split of a model whose seed is
+    of them or the `group` that `split` cuts with the model's recorded seed.
+    A model without keywords, an unknown `group` or a group split of a model whose seed is
     absent or negative raises before any record is taken."""
     grouping = _keywords(model)
-    if split not in ("all", "generation", "validation"):
-        raise InputError(f"unknown split: {split!r}")
-    if split != "all":
+    if group not in ("all", "generation", "validation"):
+        raise InputError(f"unknown split: {group!r}")
+    if group != "all":
         if model.seed is None:
-            raise InputError(f"model records no split seed, so its {split} group is unknown; "
+            raise InputError(f"model records no split seed, so its {group} group is unknown; "
                              "use --split all")
         _check_seed(model.seed)
     y, patterns, rows = _labeled_patterns(_counted(records, {}), grouping)
-    if split != "all":
-        group = split_rows(y.size, model.seed)[split == "validation"]
+    if group != "all":
+        members = split(y.size, model.seed)[group == "validation"]
         # The group's own patterns, so each of them is computed once and no other is.
-        used, rows = np.unique(rows[group], return_inverse=True)
-        y, patterns = y[group], patterns[used]
+        used, rows = np.unique(rows[members], return_inverse=True)
+        y, patterns = y[members], patterns[used]
     if not y.size:
         raise TooFewRecordsError("no labeled records to evaluate")
     table = _tie_table(logit.probabilities(model, patterns)[rows], y)
-    return {"split": split, "n": y.size, **_auc(_roc(*table)),
+    return {"split": group, "n": y.size, **_auc(_roc(*table)),
             "calibration": calibration_to_dict(_calibration(*table))}
 
 

@@ -4,7 +4,11 @@ PASS/FAIL line (run with -s or -v to see them)."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from importlib import resources
 
 import numpy as np
@@ -24,6 +28,8 @@ from gamiscreen.logit import (
 from gamiscreen.textfeatures import AppRecord, extract_features
 
 from conftest import synthetic_corpus
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _report(name, elapsed=None):
@@ -176,7 +182,7 @@ def test_criterion_08_numerical_hygiene():
     _report("criterion 8: gradient/Hessian finite differences + AIC identity")
 
 
-def test_criterion_09_train_determinism(tmp_path, capsys):
+def _criterion_09_corpus(tmp_path):
     ds = synthetic_corpus(pretrained_model(), g.pretrained_grouping(), n=600, seed=90)
     csv_path = tmp_path / "corpus.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
@@ -187,6 +193,11 @@ def test_criterion_09_train_determinism(tmp_path, capsys):
             w.writerow({"id": r.id, "store": r.store, "title": r.title,
                         "description": r.description,
                         "gamification_label": r.gamification_label})
+    return csv_path
+
+
+def test_criterion_09_train_determinism(tmp_path, capsys):
+    csv_path = _criterion_09_corpus(tmp_path)
     outputs = []
     for run in ("a", "b"):
         model_path = tmp_path / f"model_{run}.json"
@@ -198,6 +209,46 @@ def test_criterion_09_train_determinism(tmp_path, capsys):
     assert outputs[0][0] == outputs[1][0], "model files differ between runs"
     assert outputs[0][1] == outputs[1][1], "report files differ between runs"
     _report("criterion 9: byte-identical train outputs")
+
+
+# Runs train, evaluate and score in one process, each command's stdout into a file of its own
+# beside the files it writes: argv is the corpus and the output directory.
+_COMMANDS_INTO_FILES = """
+import contextlib, sys
+from pathlib import Path
+from gamiscreen.cli import main
+corpus, out = sys.argv[1], Path(sys.argv[2])
+for select in ("forced", "strict"):
+    model = str(out / f"{select}.json")
+    for name, argv in (
+            ("train", ["train", "--dataset", corpus, "--seed", "123", "--select", select,
+                       "--out", model, "--report", str(out / f"{select}-report.json")]),
+            ("evaluate", ["evaluate", "--model", model, "--dataset", corpus,
+                          "--split", "validation"]),
+            ("score", ["score", "--explain", "--model", model, "--input", corpus])):
+        with open(out / f"{select}-{name}.out", "w", encoding="utf-8") as fh:
+            with contextlib.redirect_stdout(fh):
+                assert main(argv) == 0, argv
+"""
+
+
+def test_criterion_09_across_hash_seeds(tmp_path):
+    # Criterion 9's reruns share one process and so one str hash seed; the bytes must not
+    # depend on it, as they would through the iteration order of a set of strings.
+    csv_path = _criterion_09_corpus(tmp_path)
+    outs = {hash_seed: tmp_path / f"hash-seed-{hash_seed}" for hash_seed in ("0", "1")}
+    for hash_seed, out in outs.items():
+        out.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", _COMMANDS_INTO_FILES, str(csv_path),
+                               str(out)], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    first, second = outs.values()
+    names = sorted(p.name for p in first.iterdir())
+    assert len(names) == 10 and names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    _report("criterion 9: byte-identical train, evaluate and score under two hash seeds")
 
 
 # (description, expected set of variables switched on)

@@ -421,7 +421,6 @@ def test_evaluate_makes_one_probability_per_pattern(corpus_csv, tmp_path, monkey
                                                      split):
     import gamiscreen as g
     from gamiscreen.logit import probabilities
-    from gamiscreen.pipeline import split_rows
     model = tmp_path / "model.json"
     assert main(["train", "--dataset", str(corpus_csv), "--seed", "7", "--out", str(model)]) == 0
     capsys.readouterr()
@@ -431,9 +430,9 @@ def test_evaluate_makes_one_probability_per_pattern(corpus_csv, tmp_path, monkey
     assert main(["evaluate", "--model", str(model), "--dataset", str(corpus_csv),
                  "--split", split]) == 0
     # one `probabilities` call, on exactly the distinct patterns of the evaluated group
-    labeled = g.ingest(corpus_csv).labeled()
+    labeled = [r for r in g.read_records(corpus_csv) if r.gamification_label is not None]
     if split == "validation":
-        labeled = [labeled[i] for i in split_rows(len(labeled), 7)[1]]
+        labeled = [labeled[i] for i in g.split(len(labeled), 7)[1]]
     grouping = g.load_model(model).grouping
     assert len(calls) == 1
     assert sorted(map(tuple, calls[0])) == sorted(
@@ -884,6 +883,23 @@ def test_score_refuses_a_model_number_json_cannot_mean(tmp_path, monkeypatch, ca
     assert "error" in err
 
 
+@pytest.mark.parametrize("value", [[1], "x", {}, None, True])
+def test_score_refuses_a_bad_intercept_standard_error(capsys, monkeypatch, tmp_path, value):
+    # Present, it is a number like each variable's standard error; absent, it reads as NaN.
+    doc = json.loads(resources.files("gamiscreen.data").joinpath("pretrained_model.json")
+                     .read_text(encoding="utf-8"))
+    monkeypatch.setattr("sys.stdin", stdin_text('{"id": "a", "description": "quiz"}\n'))
+    path = tmp_path / "model.json"
+    path.write_bytes(_doc({**doc, "intercept_standard_error": value}))
+    assert main(["score", "--model", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: model file lacks a valid 'intercept_standard_error'\n")
+    del doc["intercept_standard_error"]
+    path.write_bytes(_doc(doc))
+    assert main(["score", "--model", str(path)]) == 0
+    assert math.isnan(load_model(path).standard_errors[0])
+
+
 def test_report_table_prints_a_minimal_study(tmp_path, capsys):
     path = tmp_path / "study.json"
     path.write_bytes(_study())
@@ -961,6 +977,8 @@ def test_report_table_reads_no_record(tmp_path, capsys, records, error):
     ("report", "--study", _study(roc={"generation": _STUDY_AUC})),
     ("report", "--study", _study(roc={"generation": _STUDY_AUC,
                                       "validation": {**_STUDY_AUC, "auc_ci_high": "1"}})),
+    ("report", "--study", _study(roc={"generation": _STUDY_AUC,
+                                      "validation": {**_STUDY_AUC, "auc_ci_low": 10 ** 400}})),
     ("report", "--study", _study(calibration={"strata": []})),
     ("report", "--study", _study(calibration={"strata": [{"label": "Q1"}], "merged": []})),
     ("report", "--study", _study(calibration={"strata": ["Q1"], "merged": []})),
@@ -978,6 +996,7 @@ def test_report_table_reads_no_record(tmp_path, capsys, records, error):
         *[f"model training seed {seed!r}" for seed in _BAD_SEEDS],
         "study dataset without counts", "study dataset count null",
         "study without validation ROC", "study AUC bound not a number",
+        "study AUC bound beyond float64",
         "study calibration without merged", "study stratum without counts",
         "study stratum not an object"])
 def test_malformed_json_file_is_input_error(corpus_csv, tmp_path, monkeypatch, capsys,

@@ -703,6 +703,20 @@ class TestTallyPieces:
             with pytest.raises(InputError, match=r"^labels must be binary \(0/1\)$"):
                 tally(bad_keys, np.array([1, 0, 2, 1]))
 
+    def test_tie_table_tallies_bool_and_number_labels_as_they_are(self, monkeypatch):
+        # A copy of the study's uint8 labels to float64 would cost as much as packing them.
+        scores = np.array([0.5, 0.25, 0.5, 1.0])
+        labels = np.array([1, 0, 0, 1])
+        expected = evaluation._tie_table(scores, labels.astype(float))
+        seen = []
+        monkeypatch.setattr(evaluation, "tally", lambda k, y: seen.append(y) or tally(k, y))
+        for same in (labels == 1, labels.astype(np.uint8), labels, labels.astype(np.float32)):
+            assert_same_tally(evaluation._tie_table(scores, same), expected)
+            assert seen.pop() is same
+        for text in (["1", "0", "0", "1"], np.array(["1", "0", "0", "1"])):
+            assert_same_tally(evaluation._tie_table(scores, text), expected)
+            assert seen.pop().dtype == np.float64
+
 
 class TestTieTableRoc:
     @settings(max_examples=150)

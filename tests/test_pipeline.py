@@ -33,7 +33,6 @@ from gamiscreen.logit import (
 from gamiscreen.pipeline import (
     SCORE_CHUNK,
     Dataset,
-    SplitPlan,
     _score_chunks,
     evaluate,
     ingest,
@@ -45,7 +44,6 @@ from gamiscreen.pipeline import (
     save_dataset,
     score_records,
     split,
-    split_rows,
     write_scores,
 )
 from gamiscreen.textfeatures import AppRecord, VariableGrouping, extract_features
@@ -408,62 +406,60 @@ class TestIngest:
         assert s["prevalence"] == pytest.approx(241 / 1176)
 
 
-def labeled_dataset(n):
-    return Dataset(records=[
-        AppRecord(id=f"x{i}", store="ios", title="", description="",
-                  gamification_label=i % 2) for i in range(n)
-    ])
-
-
 class TestSplit:
     def test_two_thirds_sizes(self):
-        plan = split(labeled_dataset(1176), seed=1)
-        assert len(plan.generation_ids) == 784
-        assert len(plan.validation_ids) == 392
+        gen, val = split(1176, seed=1)
+        assert (len(gen), len(val)) == (784, 392)
+        assert gen.dtype == val.dtype == np.intp
 
     def test_smallest_case(self):
-        plan = split(labeled_dataset(3), seed=1)
-        assert (len(plan.generation_ids), len(plan.validation_ids)) == (2, 1)
+        gen, val = split(3, seed=1)
+        assert (len(gen), len(val)) == (2, 1)
 
     def test_determinism(self):
-        ds = labeled_dataset(100)
-        assert split(ds, seed=42) == split(ds, seed=42)
-        assert split(ds, seed=42) != split(ds, seed=43)
+        a, b, c = split(100, seed=42), split(100, seed=42), split(100, seed=43)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
     def test_too_few(self):
         with pytest.raises(TooFewRecordsError):
-            split(labeled_dataset(2), seed=1)
+            split(2, seed=1)
 
     def test_negative_seed(self):
         # `Random(-7)` would give the `Random(7)` split under another recorded seed.
         with pytest.raises(InputError):
-            split(labeled_dataset(10), seed=-7)
+            split(10, seed=-7)
 
     @settings(max_examples=25)
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(3, 60))
     def test_partition_property(self, seed, n):
-        ds = labeled_dataset(n)
-        plan = split(ds, seed)
-        gen, val = set(plan.generation_ids), set(plan.validation_ids)
-        assert not gen & val
-        assert gen | val == {r.id for r in ds.labeled()}
-        assert len(plan.generation_ids) == round(2 * n / 3)
+        gen, val = split(n, seed)
+        assert sorted([*gen.tolist(), *val.tolist()]) == list(range(n))
+        assert len(gen) == round(2 * n / 3)
 
     @settings(max_examples=25)
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(3, 60))
     def test_ids_are_the_shuffled_ids(self, seed, n):
-        # Unlabeled records in between and ids out of order, so positions are not ids.
-        ds = Dataset(records=[
-            AppRecord(id=f"r{n - i}", store="ios", title="", description="",
-                      gamification_label=None if i % 3 == 1 else i % 2) for i in range(n + n // 2)
-        ])
-        labeled = ds.labeled()
-        ids = [r.id for r in labeled]
-        Random(seed).shuffle(ids)
-        cut = round(2 * len(ids) / 3)
-        assert split(ds, seed) == SplitPlan(seed, tuple(ids[:cut]), tuple(ids[cut:]))
-        gen, val = split_rows(len(labeled), seed)
-        assert [labeled[i].id for i in [*gen, *val]] == ids
+        # The positions are 0..n-1 as `Random(seed)` shuffles them, cut at round(2n/3).
+        rows = list(range(n))
+        Random(seed).shuffle(rows)
+        cut = round(2 * n / 3)
+        gen, val = split(n, seed)
+        assert (gen.tolist(), val.tolist()) == (rows[:cut], rows[cut:])
+
+    def test_the_commands_cut_with_split(self, small_corpus, monkeypatch):
+        # `run_study` and a group `evaluate` look `split` up in `pipeline`, where the
+        # benchmark's span wraps it; "all" needs no split.
+        calls = []
+        monkeypatch.setattr("gamiscreen.pipeline.split",
+                            lambda n, seed: calls.append((n, seed)) or split(n, seed))
+        n = sum(r.gamification_label is not None for r in small_corpus.records)
+        model = run_study(small_corpus.records, seed=6).model
+        assert calls == [(n, 6)]
+        for group, cuts in (("generation", [(n, 6)]), ("validation", [(n, 6)]), ("all", [])):
+            calls.clear()
+            evaluate(model, small_corpus.records, group)
+            assert calls == cuts
 
 
 class TestRunStudy:
@@ -594,23 +590,22 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("seed", [4, 11])
     def test_report_records_are_the_split(self, small_corpus, grouping, tmp_path, capsys, seed):
-        # The records are `split`'s generation ids, then its validation ids, each with its
-        # group, its own label and the model's probability for its bits; the split block and
-        # `train`'s stdout give the two groups' sizes.
+        # The records are the labeled records at `split`'s generation positions, then at its
+        # validation positions, each with its group, its own label and the model's probability
+        # for its bits; the split block and `train`'s stdout give the two groups' sizes.
         report = run_study(small_corpus.records, seed=seed)
         doc = report.to_dict()
-        plan = split(Dataset(small_corpus.records), seed)
+        ids = [r.id for r in small_corpus.records if r.gamification_label is not None]
+        gen, val = split(len(ids), seed)
         assert [(r["id"], r["group"]) for r in doc["records"]] == [
-            *((i, "generation") for i in plan.generation_ids),
-            *((i, "validation") for i in plan.validation_ids)]
+            *((ids[i], "generation") for i in gen), *((ids[i], "validation") for i in val)]
         by_id = {r.id: r for r in small_corpus.records}
         for rec in doc["records"]:
             app = by_id[rec["id"]]
             assert type(rec["label"]) is int and rec["label"] == app.gamification_label
             assert rec["probability"] == predict(report.model,
                                                  extract_features(app, grouping).bits)
-        sizes = {"n_generation": len(plan.generation_ids),
-                 "n_validation": len(plan.validation_ids)}
+        sizes = {"n_generation": len(gen), "n_validation": len(val)}
         assert doc["split"] == {"seed": seed, **sizes}
         save_dataset(small_corpus, tmp_path / "dataset.json")
         assert main(["train", "--dataset", str(tmp_path / "dataset.json"), "--seed", str(seed),
@@ -638,7 +633,7 @@ class TestRunStudy:
                             lambda model, X: calls.append(X.tolist()) or probabilities(model, X))
         report = run_study(small_corpus.records, seed=9)
         # one `probabilities` call, on exactly the distinct patterns; the corpus repeats patterns
-        labeled = small_corpus.labeled()
+        labeled = [r for r in small_corpus.records if r.gamification_label is not None]
         assert len(calls) == 1
         assert sorted(map(tuple, calls[0])) == sorted(
             {extract_features(r, grouping).bits for r in labeled})
@@ -659,7 +654,7 @@ class TestRunStudy:
                 return fn(X, y, names=names, n=n)
             monkeypatch.setattr(f"gamiscreen.pipeline.{name}", spy)
         report = run_study(small_corpus.records, seed=9, selection=selection)
-        records = {r.id: r for r in small_corpus.labeled()}
+        records = {r.id: r for r in small_corpus.records if r.gamification_label is not None}
         gen = [records[report.ids[i]] for i in report.split_rows[0]]
         n_patterns = len({extract_features(r, grouping).bits for r in gen})
         assert n_patterns < len(gen) / 2
