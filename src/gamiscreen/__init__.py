@@ -22,6 +22,7 @@ from .evaluation import (
     ModelComparison,
     RocCurve,
     aic_compare,
+    assess,
     calibration_strata,
     cohen_kappa,
     roc_auc,

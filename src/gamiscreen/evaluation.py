@@ -10,10 +10,9 @@ pieces' runs merge into a table that does not depend on the number of cores.
 `OMP_NUM_THREADS` and the other BLAS caps do not govern these threads. Any
 other keys (-0.0, negative, NaN, integer, void) take `np.unique` and one sort
 of the positives' keys. The study tallies its pattern rows; ROC and
-calibration tally the scores into a tie table, which the study and
-`pipeline.evaluate` build once for both, and every later step is
-O(#distinct scores). The AUC is computed twice from
-those counts, by trapezoid and by tie-corrected pair counting, and a
+calibration tally the scores into a tie table, which `assess` builds once for
+both, and every later step is O(#distinct scores). The AUC is computed twice
+from those counts, by trapezoid and by tie-corrected pair counting, and a
 disagreement raises. The DeLong variance of its CI is weighted by count over
 the tie groups, within which the structural components are constant (the
 single-sort form of Sun & Xu, 2014). Calibration cuts the table at its
@@ -132,11 +131,11 @@ def _packed_tally(bits: np.ndarray,
     pieces = max(1, min(_CORES, n // _MIN_PIECE))
     bounds = [n * i // pieces for i in range(pieces + 1)]
     packed = np.empty_like(bits)
-    found, stop = [None] * pieces, []
+    found = [None] * pieces
 
     def piece(i):
         try:
-            found[i] = _packed_runs(bits, labels, packed, bounds[i], bounds[i + 1], stop)
+            found[i] = _packed_runs(bits, labels, packed, bounds[i], bounds[i + 1])
         except BaseException as exc:  # re-raised in the caller
             found[i] = exc
 
@@ -167,24 +166,20 @@ def _packed_tally(bits: np.ndarray,
             np.where(runs[last] & 1, length[last], 0))
 
 
-def _packed_runs(bits, labels, packed, lo, hi, stop) -> tuple[np.ndarray, np.ndarray] | None:
+def _packed_runs(bits, labels, packed, lo, hi) -> tuple[np.ndarray, np.ndarray] | None:
     """Pack `bits[lo:hi]` with `labels[lo:hi]` into `packed[lo:hi]` and sort it there: the
-    sorted slice's runs and their lengths; None at a chunk whose bits pass `_INF_BITS`, which
-    is put on the shared list `stop`, or at any chunk once `stop` is not empty.
+    sorted slice's runs and their lengths; None at the first chunk whose bits pass `_INF_BITS`.
 
     A chunk at a time, so the label check, the range check, the shift and the label read
     the chunk from cache: each key's bits are shifted left by one with its label in the
     freed low bit."""
     for i in range(lo, hi, _PACK_CHUNK):
-        if stop:  # the keys take the unique path, so packing the rest is waste
-            return None
         end = min(i + _PACK_CHUNK, hi)
         chunk, label, out = bits[i:end], labels[i:end], packed[i:end]
         positive = label == 1
         if np.count_nonzero(positive) + np.count_nonzero(label == 0) != end - i:
             raise InputError("labels must be binary (0/1)")
         if chunk.max() > _INF_BITS:
-            stop.append(i)
             return None
         np.left_shift(chunk, 1, out=out)
         out |= positive
@@ -430,6 +425,13 @@ def _calibration(values, pos_at, neg_at,
         ))
     merged = tuple(s.label for s in strata if "-" in s.label)
     return CalibrationReport(strata=tuple(strata), merged=merged)
+
+
+def assess(scores, labels) -> tuple[RocCurve, CalibrationReport]:
+    """`roc_auc` and `calibration_strata` of one group, from one tie table: the ROC is
+    judged first, so a one-class group raises OneClassError before any calibration fault."""
+    table = _tie_table(scores, labels)
+    return _roc(*table), _calibration(*table)
 
 
 def calibration_text(report: CalibrationReport) -> str:

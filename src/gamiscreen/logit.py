@@ -48,7 +48,9 @@ class FittedModel:
     that do not carry them (e.g. the bundled pre-trained model).
     ``grouping`` holds the keywords of ``feature_names``, so the model can
     score raw text, and ``seed`` is the seed of the split it was fitted on;
-    a model fitted from a bare 0/1 matrix has neither.
+    a model fitted from a bare 0/1 matrix has neither. ``n_labeled`` and
+    ``labeled_ids_sha256`` pin the labeled records that split was cut from
+    (see `pipeline.evaluate`); None when the file does not carry them.
     """
 
     variable_names: tuple[str, ...]
@@ -61,6 +63,8 @@ class FittedModel:
     iterations: int = 0
     grouping: VariableGrouping | None = None
     seed: int | None = None
+    n_labeled: int | None = None
+    labeled_ids_sha256: str | None = None
 
     def __post_init__(self):
         if self.grouping is not None and self.grouping.names != self.feature_names:
@@ -359,6 +363,8 @@ def model_to_dict(model: FittedModel) -> dict:
             "seed": model.seed,
             "timestamp": None,
             "generator": None if model.seed is None else SPLIT_GENERATOR,
+            "n_labeled": model.n_labeled,
+            "labeled_ids_sha256": model.labeled_ids_sha256,
         },
     }
 
@@ -367,7 +373,10 @@ def model_from_dict(doc: dict) -> FittedModel:
     """Inverse of :func:`model_to_dict`.
 
     The model gets a grouping when every variable carries keywords, and
-    ``training.seed`` as its seed, which must be an integer or null.
+    ``training.seed`` as its seed, which must be an integer or null. The other
+    ``training`` numbers may be null or absent; present, the counts are
+    integers >= 0, the likelihood and AIC numbers, and the digest 64 lowercase
+    hex digits.
     """
     if require_fields(doc, "model file").get("format_version") != FORMAT_VERSION:
         raise InputError(f"unsupported model format_version: {doc.get('format_version')!r}")
@@ -390,6 +399,14 @@ def model_from_dict(doc: dict) -> FittedModel:
     # `Random("7")` and `Random(7.5)` would give some other split without complaint.
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise InputError(f"model training seed must be an integer or null, got {seed!r}")
+    for name, kind in (("n_obs", int), ("n_labeled", int), ("log_likelihood", (int, float)),
+                       ("aic", (int, float)), ("labeled_ids_sha256", str)):
+        value = training.get(name)
+        if value is not None:
+            require_fields(training, "model training block", **{name: kind})
+            if (kind is int and value < 0
+                    or kind is str and (len(value) != 64 or value.strip("0123456789abcdef"))):
+                raise InputError(f"model training block lacks a valid {name!r}")
     grouping = None
     if all(v.get("keywords") for v in variables):
         grouping = VariableGrouping.from_json(variables, "model variable")
@@ -404,6 +421,8 @@ def model_from_dict(doc: dict) -> FittedModel:
         iterations=0,
         grouping=grouping,
         seed=seed,
+        n_labeled=training.get("n_labeled"),
+        labeled_ids_sha256=training.get("labeled_ids_sha256"),
     )
 
 

@@ -33,9 +33,7 @@ from .errors import (
 from .evaluation import (
     CALIBRATION_MIN_POSITIVES,
     CalibrationReport,
-    _calibration,
-    _roc,
-    _tie_table,
+    assess,
     calibration_to_dict,
     roc_auc,
     tally,
@@ -63,6 +61,7 @@ from .textfeatures import (
 
 ALPHA = 0.05                     # strict selection keeps univariate p < ALPHA
 SCORE_CHUNK = 1024               # records scored and written together
+ID_CHUNK = 1 << 16               # bytes of encoded ids hashed together
 
 REQUIRED_COLUMNS = ("id", "store", "title", "description")
 READ_COLUMNS = REQUIRED_COLUMNS + ("gamification_label", "app_type", "language")
@@ -356,17 +355,27 @@ def _stage(name: str):
 
 def _labeled_patterns(labeled, grouping: VariableGrouping) -> tuple:
     """The labeled pass of `run_study` and `evaluate`: the 0/1 labels of the records `labeled`
-    (a uint8 array) and the `pattern_table` of their codes under `grouping`. Each record is
-    extracted as it is read, and none is kept."""
-    labels = bytearray()
+    (a uint8 array), the `pattern_table` of their codes under `grouping`, and the SHA-256 hex
+    digest of their ids in order, each id's UTF-8 bytes after their length as 8 bytes
+    big-endian. Each record is extracted as it is read, and none is kept."""
+    import hashlib  # here, so only the commands that read labels load it
+
+    labels, ids, digest = bytearray(), bytearray(), hashlib.sha256()
 
     def codes():
         for r in labeled:
             labels.append(r.gamification_label)
+            key = r.id.encode("utf-8", "surrogatepass")  # a JSON id may hold a lone surrogate
+            ids.extend(len(key).to_bytes(8, "big"))
+            ids.extend(key)
+            if len(ids) >= ID_CHUNK:
+                digest.update(ids)
+                del ids[:]
             yield feature_code(r, grouping)[0]
 
     patterns, rows = pattern_table(codes(), len(grouping.names))
-    return np.frombuffer(labels, dtype=np.uint8), patterns, rows
+    digest.update(ids)
+    return np.frombuffer(labels, dtype=np.uint8), patterns, rows, digest.hexdigest()
 
 
 def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
@@ -383,7 +392,7 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
     grouping = grouping or default_grouping()
     names = grouping.names
     summary, ids = {}, []
-    y, patterns, rows = _labeled_patterns(
+    y, patterns, rows, digest = _labeled_patterns(
         (ids.append(r.id) or r for r in _counted(records, summary)), grouping)
     gen, val = split(len(ids), seed)
     # The screen and fit get the generation group's patterns, with records and positives at each.
@@ -404,16 +413,15 @@ def run_study(records, grouping: VariableGrouping | None = None, seed: int = 0,
     with _stage("multivariate fit"):
         fit = fit_logistic(X_gen[:, sel_idx], e_gen, names=selected, n=n_gen)
     model = replace(fit, seed=seed, grouping=VariableGrouping(
-        tuple((n, grouping.members(n)) for n in selected)))
+        tuple((n, grouping.members(n)) for n in selected)), n_labeled=len(ids),
+        labeled_ids_sha256=digest)
 
     p = probabilities(model, patterns[:, sel_idx])[rows]
 
     with _stage("generation ROC"):
         roc_gen = roc_auc(p[gen], y[gen])
     with _stage("validation ROC"):
-        table = _tie_table(p[val], y[val])  # one tie table for the ROC and the calibration
-        roc_val = _roc(*table)
-    calib = _calibration(*table, min_positives=CALIBRATION_MIN_POSITIVES)
+        roc_val, calib = assess(p[val], y[val])
 
     return StudyReport(
         selection=selection,
@@ -434,7 +442,9 @@ def evaluate(model: FittedModel, records, group: str = "all") -> dict:
     """The document `evaluate` prints: `model` judged on the labeled records of `records`, all
     of them or the `group` that `split` cuts with the model's recorded seed.
     A model without keywords, an unknown `group` or a group split of a model whose seed is
-    absent or negative raises before any record is taken."""
+    absent or negative raises before any record is taken. A group split of labeled records
+    whose count or id digest differs from the model's raises before any statistic; `all`, and
+    a model that records neither, are not checked."""
     grouping = _keywords(model)
     if group not in ("all", "generation", "validation"):
         raise InputError(f"unknown split: {group!r}")
@@ -443,17 +453,20 @@ def evaluate(model: FittedModel, records, group: str = "all") -> dict:
             raise InputError(f"model records no split seed, so its {group} group is unknown; "
                              "use --split all")
         _check_seed(model.seed)
-    y, patterns, rows = _labeled_patterns(_counted(records, {}), grouping)
+    y, patterns, rows, digest = _labeled_patterns(_counted(records, {}), grouping)
     if group != "all":
+        if model.n_labeled not in (None, y.size) or model.labeled_ids_sha256 not in (None, digest):
+            raise InputError(f"the dataset's {y.size} labeled records are not those the model's "
+                             f"split was cut from, so its {group} group is unknown; "
+                             "use --split all")
         members = split(y.size, model.seed)[group == "validation"]
         # The group's own patterns, so each of them is computed once and no other is.
         used, rows = np.unique(rows[members], return_inverse=True)
         y, patterns = y[members], patterns[used]
     if not y.size:
         raise TooFewRecordsError("no labeled records to evaluate")
-    table = _tie_table(logit.probabilities(model, patterns)[rows], y)
-    return {"split": group, "n": y.size, **_auc(_roc(*table)),
-            "calibration": calibration_to_dict(_calibration(*table))}
+    roc, calib = assess(logit.probabilities(model, patterns)[rows], y)
+    return {"split": group, "n": y.size, **_auc(roc), "calibration": calibration_to_dict(calib)}
 
 
 # ---------------------------------------------------------------------------

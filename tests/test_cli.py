@@ -388,19 +388,65 @@ def test_evaluate_defaults_to_the_model_seed(corpus_csv, tmp_path, capsys):
     assert validation["7"]["auc"] != validation["8"]["auc"]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a model file does not pin the labeled "
-                                       "records its split was cut from")
 def test_evaluate_refuses_a_dataset_other_than_the_models(corpus_csv, tmp_path, capsys):
-    model, shorter = tmp_path / "model.json", tmp_path / "shorter.csv"
+    model, unpinned, other = tmp_path / "model.json", tmp_path / "unpinned.json", tmp_path / "o.csv"
     assert main(["train", "--dataset", str(corpus_csv), "--seed", "7", "--out", str(model)]) == 0
     capsys.readouterr()
-    # The study's dataset less its last row: its "validation" third would hold generation listings.
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    del doc["training"]["n_labeled"], doc["training"]["labeled_ids_sha256"]
+    unpinned.write_text(json.dumps(doc), encoding="utf-8")
     with open(corpus_csv, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    with open(shorter, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows[:-1])
-    assert main(["evaluate", "--model", str(model), "--dataset", str(shorter),
-                 "--split", "validation"]) == 2
+        header, *rows = csv.reader(fh)
+    swapped = [rows[1], rows[0], *rows[2:]]
+    # Each would cut "validation" and "generation" groups other than the study's.
+    for changed in (rows[:-1], [*rows, ["extra", "ios", "Quiz", "trivia game", "1"]], swapped):
+        with open(other, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *changed])
+        for split in ("validation", "generation"):
+            argv = ["evaluate", "--dataset", str(other), "--split", split]
+            assert main([*argv, "--model", str(model)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                f"error: the dataset's {len(changed)} labeled records are not those the model's "
+                f"split was cut from, so its {split} group is unknown; use --split all\n")
+            # unchecked: a model without the pin, and every labeled record
+            assert main([*argv, "--model", str(unpinned)]) == 0
+            capsys.readouterr()
+        assert main(["evaluate", "--dataset", str(other), "--model", str(model)]) == 0
+        capsys.readouterr()
+
+
+def test_evaluate_of_the_models_dataset_prints_what_an_unpinned_model_does(
+        corpus_csv, tmp_path, capsys):
+    model, unpinned = tmp_path / "model.json", tmp_path / "unpinned.json"
+    assert main(["train", "--dataset", str(corpus_csv), "--seed", "7", "--out", str(model)]) == 0
+    capsys.readouterr()
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    assert doc["training"]["n_labeled"] == 700
+    del doc["training"]["n_labeled"], doc["training"]["labeled_ids_sha256"]
+    unpinned.write_text(json.dumps(doc), encoding="utf-8")
+    for split in ("validation", "generation", "all"):
+        outputs = []
+        for path in (model, unpinned):
+            assert main(["evaluate", "--model", str(path), "--dataset", str(corpus_csv),
+                         "--split", split]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+def test_each_judged_group_gets_one_tie_table(corpus_csv, tmp_path, monkeypatch, capsys):
+    from gamiscreen import evaluation
+    model, sizes, tie_table = tmp_path / "model.json", [], evaluation._tie_table
+    monkeypatch.setattr(evaluation, "_tie_table",
+                        lambda scores, labels: sizes.append(len(scores)) or tie_table(scores, labels))
+    assert main(["train", "--dataset", str(corpus_csv), "--seed", "7", "--out", str(model)]) == 0
+    trained = json.loads(capsys.readouterr().out)
+    assert sizes == [trained["n_generation"], trained["n_validation"]]
+    for split in ("all", "generation", "validation"):
+        sizes.clear()
+        assert main(["evaluate", "--model", str(model), "--dataset", str(corpus_csv),
+                     "--split", split]) == 0
+        assert sizes == [json.loads(capsys.readouterr().out)["n"]]
 
 
 def test_evaluate_has_no_seed_option(corpus_csv, capsys):
@@ -811,6 +857,10 @@ def test_train_memory_per_record_is_at_most_evaluates(tmp_path, capsys):
                         for r in ds.records[:n])
     model = str(tmp_path / "model.json")
     assert main(["train", "--dataset", str(paths[4_000]), "--out", model]) == 0
+    # without the pin to its 4k listings, so the model's seed cuts a group of each corpus
+    doc = json.loads(Path(model).read_text(encoding="utf-8"))
+    del doc["training"]["n_labeled"], doc["training"]["labeled_ids_sha256"]
+    Path(model).write_text(json.dumps(doc), encoding="utf-8")
     growth = {}
     for argv in (["train", "--out", str(tmp_path / "other.json"), "--dataset"],
                  ["evaluate", "--model", model, "--split", "validation", "--dataset"]):
@@ -898,6 +948,38 @@ def test_score_refuses_a_bad_intercept_standard_error(capsys, monkeypatch, tmp_p
     path.write_bytes(_doc(doc))
     assert main(["score", "--model", str(path)]) == 0
     assert math.isnan(load_model(path).standard_errors[0])
+
+
+_BAD_TRAINING_NUMBERS = [
+    ("n_obs", "x"), ("n_obs", True), ("n_obs", -1), ("n_obs", 1.5),
+    ("n_labeled", "x"), ("n_labeled", True), ("n_labeled", -1), ("n_labeled", 1.5),
+    ("log_likelihood", {"a": 1}), ("log_likelihood", True), ("log_likelihood", "x"),
+    ("aic", [1]), ("aic", "x"), ("aic", True),
+    pytest.param("aic", 10 ** 400, id="aic beyond float64"),
+    ("labeled_ids_sha256", 1),
+    pytest.param("labeled_ids_sha256", "A" * 64, id="labeled_ids_sha256 upper case"),
+    pytest.param("labeled_ids_sha256", "a" * 63, id="labeled_ids_sha256 63 digits"),
+    pytest.param("labeled_ids_sha256", "g" * 64, id="labeled_ids_sha256 not hex"),
+]
+
+
+@pytest.mark.parametrize("name, value", _BAD_TRAINING_NUMBERS)
+def test_evaluate_refuses_a_bad_training_number(corpus_csv, tmp_path, capsys, name, value):
+    doc = json.loads(resources.files("gamiscreen.data").joinpath("pretrained_model.json")
+                     .read_text(encoding="utf-8"))
+    doc["training"]["seed"] = 7
+    path = tmp_path / "model.json"
+    argv = ["evaluate", "--model", str(path), "--dataset", str(corpus_csv), "--split", "validation"]
+    path.write_bytes(_doc({**doc, "training": {**doc["training"], name: value}}))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: model training block lacks a valid {name!r}\n")
+    # null or absent, it is not known
+    for training in ({**doc["training"], name: None},
+                     {k: v for k, v in doc["training"].items() if k != name}):
+        path.write_bytes(_doc({**doc, "training": training}))
+        assert main(argv) == 0
+        assert getattr(load_model(path), name) is None
+        capsys.readouterr()
 
 
 def test_report_table_prints_a_minimal_study(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""The package imports only numpy, scipy.special and the standard library.
+"""The package imports only numpy, scipy.special and the standard library, and no module of
+it imports another's underscore names.
 
-The project runs offline on Python and its two numeric dependencies (pyproject.toml). The
-check reads the source files only, so it also sees the imports made inside functions, which
+The project runs offline on Python and its two numeric dependencies (pyproject.toml). A
+module's underscore names are its own, so another reaches it only through public names. The
+checks read the source files only, so they also see the imports made inside functions, which
 importing the package does not run.
 """
 
@@ -40,3 +42,25 @@ def test_other_imports_are_refused():
               "def f():\n    from scipy.optimize import minimize\n    import numpy.linalg\n")
     assert [m for m in absolute_imports(source) if not allowed(m)] == [
         "pandas", "scipy", "scipy.optimize"]
+
+
+def private_imports(source: str):
+    """Each underscore name that `source` imports from the package: by a relative import, or by
+    one from `gamiscreen` or a module of it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").partition(".")[0] == "gamiscreen"):
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_another_modules_underscore_names(path):
+    assert list(private_imports(path.read_text(encoding="utf-8"))) == []
+
+
+def test_underscore_imports_from_the_package_are_refused():
+    source = ("from __future__ import annotations\nfrom numpy import _core\n"
+              "from .evaluation import _roc, roc_auc\nfrom . import _hidden, logit\n"
+              "def f():\n    from gamiscreen.pipeline import _stage\n"
+              "    from gamiscreen import _version\n")
+    assert list(private_imports(source)) == ["_roc", "_hidden", "_stage", "_version"]

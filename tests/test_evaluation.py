@@ -501,9 +501,9 @@ def spy_pieces(monkeypatch) -> list:
     """A list that gets (lo, hi, thread) per piece `_packed_tally` packs."""
     seen, packed_runs = [], evaluation._packed_runs
 
-    def spy(bits, labels, packed, lo, hi, stop):
+    def spy(bits, labels, packed, lo, hi):
         seen.append((lo, hi, threading.current_thread()))
-        return packed_runs(bits, labels, packed, lo, hi, stop)
+        return packed_runs(bits, labels, packed, lo, hi)
 
     monkeypatch.setattr(evaluation, "_packed_runs", spy)
     return seen
@@ -576,7 +576,7 @@ class TestTallyPieces:
         with pytest.raises(InputError) as exc:
             statistic(scores, labels)
         assert str(exc.value) == "labels must be binary (0/1)"
-        # also where the first piece finds a NaN score and stops packing
+        # also where the first piece finds a NaN score and returns None
         scores[0] = math.nan
         with pytest.raises(InputError) as exc:
             statistic(scores, labels)
@@ -610,27 +610,16 @@ class TestTallyPieces:
                 roc_auc(keys, positive)
             assert str(exc.value) == "scores must not be NaN"
 
-    def test_a_piece_stops_packing_once_another_falls_back(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "_PACK_CHUNK", 2)
-        keys = np.array([0.5, 0.25, 0.75, -0.5, 1.0, 0.5])
-        bits, labels = keys.view(np.uint64), np.array([1, 0, 1, 0, 0, 1])
-        packed, stop = np.zeros_like(bits), []
-        assert evaluation._packed_runs(bits, labels, packed, 0, 6, stop) is None
-        assert stop == [2]  # the chunk that holds -0.5
-        packed[:] = 0
-        assert evaluation._packed_runs(bits, labels, packed, 0, 6, stop) is None
-        assert not packed.any()  # a later piece packs nothing
-
     @pytest.mark.parametrize("failing", [1, 3], ids=["second piece", "last piece"])
     def test_worker_exception_reaches_the_caller(self, monkeypatch, failing):
         cut_into_pieces(monkeypatch, 4)
         seen, packed_runs = [], evaluation._packed_runs
 
-        def fail_in_one_piece(bits, labels, packed, lo, hi, stop):
+        def fail_in_one_piece(bits, labels, packed, lo, hi):
             seen.append(threading.current_thread())
             if lo == failing * 2:
                 raise MemoryError(f"piece at {lo}")
-            return packed_runs(bits, labels, packed, lo, hi, stop)
+            return packed_runs(bits, labels, packed, lo, hi)
 
         monkeypatch.setattr(evaluation, "_packed_runs", fail_in_one_piece)
         before = threading.active_count()

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import io
 import json
 import tracemalloc
@@ -33,6 +34,7 @@ from gamiscreen.logit import (
 from gamiscreen.pipeline import (
     SCORE_CHUNK,
     Dataset,
+    _labeled_patterns,
     _score_chunks,
     evaluate,
     ingest,
@@ -964,11 +966,42 @@ def wide():
 
 
 def tuple_pass(labeled, grouping):
-    """`_labeled_patterns` over `extract_features` tuples: labels, patterns and rows."""
+    """`_labeled_patterns` over `extract_features` tuples: labels, patterns, rows and the
+    digest of the length-prefixed ids, hashed in one piece."""
     labeled, index = list(labeled), {}
     rows = [index.setdefault(extract_features(r, grouping).bits, len(index)) for r in labeled]
+    keys = [r.id.encode("utf-8", "surrogatepass") for r in labeled]
     return (np.array([r.gamification_label for r in labeled], dtype=np.uint8),
-            np.array(list(index), dtype=np.uint8), np.array(rows, dtype=np.intp))
+            np.array(list(index), dtype=np.uint8), np.array(rows, dtype=np.intp),
+            hashlib.sha256(b"".join(len(k).to_bytes(8, "big") + k for k in keys)).hexdigest())
+
+
+class TestLabeledIdsDigest:
+    IDS = ["a", "bc", "\u00e9", "\ud800", "x" * 300, "\u65e5\u672c"]
+
+    @pytest.mark.parametrize("chunk", [1, 9, 1 << 16])
+    def test_digest_of_the_length_prefixed_ids_in_any_chunks(self, monkeypatch, chunk):
+        # a lone surrogate is a legal JSON id, so it is hashed, not refused
+        grouping = g.default_grouping()
+        records = [AppRecord(id=i, store="ios", description="quiz", gamification_label=k % 2)
+                   for k, i in enumerate(self.IDS)]
+        monkeypatch.setattr("gamiscreen.pipeline.ID_CHUNK", chunk)
+        assert _labeled_patterns(records, grouping)[3] == tuple_pass(records, grouping)[3]
+
+    def test_ids_are_not_run_together(self):
+        grouping = g.default_grouping()
+        digests = {_labeled_patterns([AppRecord(id=i, store="ios", gamification_label=0)
+                                      for i in ids], grouping)[3]
+                   for ids in (["ab", "c"], ["a", "bc"], ["abc"], ["c", "ab"])}
+        assert len(digests) == 4
+
+    def test_the_study_model_pins_its_labeled_records(self):
+        grouping, records = g.default_grouping(), synthetic_corpus(
+            g.pretrained_model(), g.pretrained_grouping(), n=300, seed=5).records
+        model = run_study([*records, AppRecord(id="unlabeled", store="ios")], seed=3).model
+        labeled = [r for r in records if r.gamification_label is not None]
+        assert (model.n_labeled, model.labeled_ids_sha256) == (
+            len(labeled), tuple_pass(labeled, grouping)[3])
 
 
 class TestWideGrouping:
