@@ -64,9 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> int:
-    ds = ingest(args.input)
-    save_dataset(ds, args.out)
-    print(json.dumps(ds.summary(), indent=2))
+    print(json.dumps(save_dataset(ingest(args.input), args.out), indent=2))
     return EXIT_OK
 
 

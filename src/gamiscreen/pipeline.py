@@ -1,7 +1,7 @@
 """Dataset ingestion, seeded splitting, the end-to-end study driver and scoring.
 
-Every random draw in a study flows from one 64-bit seed through a named
-generator (Python's Mersenne Twister with Fisher-Yates shuffling), so
+Every random draw in a study flows from one nonnegative integer seed through
+a named generator (Python's Mersenne Twister with Fisher-Yates shuffling), so
 identical inputs and seed reproduce byte-identical outputs.
 """
 
@@ -61,7 +61,6 @@ from .textfeatures import (
 
 ALPHA = 0.05                     # strict selection keeps univariate p < ALPHA
 SCORE_CHUNK = 1024               # records scored and written together
-ID_CHUNK = 1 << 16               # bytes of encoded ids hashed together
 
 REQUIRED_COLUMNS = ("id", "store", "title", "description")
 READ_COLUMNS = REQUIRED_COLUMNS + ("gamification_label", "app_type", "language")
@@ -234,7 +233,8 @@ def ingest(path) -> Dataset:
     return Dataset(records=list(read_records(path)), source=str(path))
 
 
-def save_dataset(dataset: Dataset, path) -> None:
+def save_dataset(dataset: Dataset, path) -> dict:
+    """Write `dataset` as JSON to `path`; return the summary written with it."""
     names = [f.name for f in fields(AppRecord)]
     doc = {
         "source": dataset.source,
@@ -246,6 +246,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+    return doc["summary"]
 
 
 load_dataset = ingest  # reads a dataset.json written by `save_dataset`, or any listings file
@@ -360,21 +361,16 @@ def _labeled_patterns(labeled, grouping: VariableGrouping) -> tuple:
     big-endian. Each record is extracted as it is read, and none is kept."""
     import hashlib  # here, so only the commands that read labels load it
 
-    labels, ids, digest = bytearray(), bytearray(), hashlib.sha256()
+    labels, digest = bytearray(), hashlib.sha256()
 
     def codes():
         for r in labeled:
             labels.append(r.gamification_label)
             key = r.id.encode("utf-8", "surrogatepass")  # a JSON id may hold a lone surrogate
-            ids.extend(len(key).to_bytes(8, "big"))
-            ids.extend(key)
-            if len(ids) >= ID_CHUNK:
-                digest.update(ids)
-                del ids[:]
+            digest.update(len(key).to_bytes(8, "big") + key)
             yield feature_code(r, grouping)[0]
 
     patterns, rows = pattern_table(codes(), len(grouping.names))
-    digest.update(ids)
     return np.frombuffer(labels, dtype=np.uint8), patterns, rows, digest.hexdigest()
 
 
@@ -453,16 +449,15 @@ def evaluate(model: FittedModel, records, group: str = "all") -> dict:
             raise InputError(f"model records no split seed, so its {group} group is unknown; "
                              "use --split all")
         _check_seed(model.seed)
-    y, patterns, rows, digest = _labeled_patterns(_counted(records, {}), grouping)
+    y, patterns, rows, digest = _labeled_patterns(
+        (r for r in records if r.gamification_label is not None), grouping)
     if group != "all":
         if model.n_labeled not in (None, y.size) or model.labeled_ids_sha256 not in (None, digest):
             raise InputError(f"the dataset's {y.size} labeled records are not those the model's "
                              f"split was cut from, so its {group} group is unknown; "
                              "use --split all")
         members = split(y.size, model.seed)[group == "validation"]
-        # The group's own patterns, so each of them is computed once and no other is.
-        used, rows = np.unique(rows[members], return_inverse=True)
-        y, patterns = y[members], patterns[used]
+        y, rows = y[members], rows[members]
     if not y.size:
         raise TooFewRecordsError("no labeled records to evaluate")
     roc, calib = assess(logit.probabilities(model, patterns)[rows], y)

@@ -17,7 +17,14 @@ import pytest
 from gamiscreen.cli import main
 from gamiscreen.evaluation import calibration_strata, calibration_to_dict, roc_auc
 from gamiscreen.logit import load_model
-from gamiscreen.pipeline import SCORE_CHUNK, ingest, read_records, run_study, score_records
+from gamiscreen.pipeline import (
+    SCORE_CHUNK,
+    Dataset,
+    ingest,
+    read_records,
+    run_study,
+    score_records,
+)
 
 from conftest import stdin_text, synthetic_corpus
 
@@ -65,6 +72,15 @@ def test_ingest_train_evaluate_report(corpus_csv, tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
     assert csv_out.read_text().startswith("threshold,fpr,tpr")
     assert "AUC" in capsys.readouterr().out
+
+
+def test_ingest_counts_once_and_prints_what_it_wrote(corpus_csv, tmp_path, monkeypatch, capsys):
+    calls, summary = [], Dataset.summary
+    monkeypatch.setattr(Dataset, "summary", lambda self: calls.append(1) or summary(self))
+    ds_path = tmp_path / "dataset.json"
+    assert main(["ingest", str(corpus_csv), "--out", str(ds_path)]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out) == json.loads(ds_path.read_text())["summary"]
 
 
 def test_score_stdin_uses_bundled_model(monkeypatch, capsys):
@@ -216,6 +232,35 @@ def test_train_loads_scipy_special_alone(corpus_csv, tmp_path):
     """`train` imports `scipy.special` for its p-values, and no other scipy subpackage."""
     loaded = _run_probe(_scipy_modules_probe(_TRAIN_STEPS), corpus_csv, tmp_path / "model.json")
     assert loaded["subpackages"] == ["scipy.special"]
+
+
+_HASHLIB_STEPS = """
+import json, sys
+import numpy
+loaded = {"numpy": "hashlib" in sys.modules}
+def record(step):
+    loaded[step] = "hashlib" in sys.modules
+setup, listings, dataset, model = sys.argv[1:]
+exec(setup)
+record("setup")
+from gamiscreen import cli
+assert cli.main(["score", "--explain", "--input", listings]) == 0
+record("score --explain")
+assert cli.main(["train", "--dataset", dataset, "--seed", "1", "--out", model]) == 0
+record("train")
+print(json.dumps(loaded))
+"""
+
+
+def test_setup_and_score_load_no_hashlib(corpus_csv, tmp_path):
+    """In a fresh interpreter, set-up and `score` import no `hashlib`, which only the labeled
+    pass of `train` and `evaluate` needs; numpy 1.x loads it itself, through `numpy.random`."""
+    listings = tmp_path / "listings.csv"
+    listings.write_text("id,store,title,description\n1,ios,Quiz,Track your quiz progress\n")
+    loaded = _run_probe(_HASHLIB_STEPS, _benchmark_setup_code(), listings, corpus_csv,
+                        tmp_path / "model.json")
+    by_numpy = loaded.pop("numpy")
+    assert loaded == {"setup": by_numpy, "score --explain": by_numpy, "train": True}
 
 
 def test_score_reads_the_process_stdin(monkeypatch, capsys):
@@ -475,16 +520,16 @@ def test_evaluate_makes_one_probability_per_pattern(corpus_csv, tmp_path, monkey
                         lambda m, X: calls.append(X.tolist()) or probabilities(m, X))
     assert main(["evaluate", "--model", str(model), "--dataset", str(corpus_csv),
                  "--split", split]) == 0
-    # one `probabilities` call, on exactly the distinct patterns of the evaluated group
+    # one `probabilities` call, on exactly the distinct patterns of the labeled records, which
+    # a group split indexes by row
     labeled = [r for r in g.read_records(corpus_csv) if r.gamification_label is not None]
-    if split == "validation":
-        labeled = [labeled[i] for i in g.split(len(labeled), 7)[1]]
     grouping = g.load_model(model).grouping
     assert len(calls) == 1
     assert sorted(map(tuple, calls[0])) == sorted(
         {g.extract_features(r, grouping).bits for r in labeled})
     assert len(calls[0]) < len(labeled)
-    assert json.loads(capsys.readouterr().out)["n"] == len(labeled)
+    group = g.split(len(labeled), 7)[1] if split == "validation" else labeled
+    assert json.loads(capsys.readouterr().out)["n"] == len(group)
 
 
 def test_evaluate_model_without_seed(corpus_csv, tmp_path, capsys):

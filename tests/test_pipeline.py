@@ -979,14 +979,24 @@ def tuple_pass(labeled, grouping):
 class TestLabeledIdsDigest:
     IDS = ["a", "bc", "\u00e9", "\ud800", "x" * 300, "\u65e5\u672c"]
 
-    @pytest.mark.parametrize("chunk", [1, 9, 1 << 16])
-    def test_digest_of_the_length_prefixed_ids_in_any_chunks(self, monkeypatch, chunk):
+    def records(self, ids) -> list:
+        return [AppRecord(id=i, store="ios", description="quiz", gamification_label=k % 2)
+                for k, i in enumerate(ids)]
+
+    def test_digest_of_the_length_prefixed_ids(self):
         # a lone surrogate is a legal JSON id, so it is hashed, not refused
-        grouping = g.default_grouping()
-        records = [AppRecord(id=i, store="ios", description="quiz", gamification_label=k % 2)
-                   for k, i in enumerate(self.IDS)]
-        monkeypatch.setattr("gamiscreen.pipeline.ID_CHUNK", chunk)
+        grouping, records = g.default_grouping(), self.records(self.IDS)
         assert _labeled_patterns(records, grouping)[3] == tuple_pass(records, grouping)[3]
+
+    @pytest.mark.parametrize("ids, digest", [
+        (IDS, "1336588a52668cbb1db7fa615e79b67143ad9fd94ec4616d4824b37129712466"),
+        # 340 KB of hashed bytes
+        ([f"app{i:06d}" for i in range(20_000)],
+         "09ce404faccaddf934dd0ecc2a0e72ec2f5962afc0b4955e853eee5bfb2adb72"),
+    ], ids=["mixed", "20k"])
+    def test_digest_is_frozen(self, ids, digest):
+        # model files in use carry these digests: a new encoding would refuse their datasets
+        assert _labeled_patterns(self.records(ids), g.default_grouping())[3] == digest
 
     def test_ids_are_not_run_together(self):
         grouping = g.default_grouping()
