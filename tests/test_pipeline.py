@@ -983,10 +983,18 @@ class TestLabeledIdsDigest:
         return [AppRecord(id=i, store="ios", description="quiz", gamification_label=k % 2)
                 for k, i in enumerate(ids)]
 
-    def test_digest_of_the_length_prefixed_ids(self):
-        # a lone surrogate is a legal JSON id, so it is hashed, not refused
+    @pytest.mark.parametrize("chunk", [1, 9, 1 << 16])
+    def test_digest_of_the_length_prefixed_ids_in_any_chunks(self, chunk):
+        # a lone surrogate is a legal JSON id, so it is hashed, not refused; the one update
+        # per id equals the length-prefixed ids hashed in pieces of `chunk` bytes
         grouping, records = g.default_grouping(), self.records(self.IDS)
-        assert _labeled_patterns(records, grouping)[3] == tuple_pass(records, grouping)[3]
+        stream = b"".join(len(k).to_bytes(8, "big") + k
+                          for k in (i.encode("utf-8", "surrogatepass") for i in self.IDS))
+        pieces = hashlib.sha256()
+        for at in range(0, len(stream), chunk):
+            pieces.update(stream[at:at + chunk])
+        assert _labeled_patterns(records, grouping)[3] == tuple_pass(records, grouping)[3] \
+            == pieces.hexdigest()
 
     @pytest.mark.parametrize("ids, digest", [
         (IDS, "1336588a52668cbb1db7fa615e79b67143ad9fd94ec4616d4824b37129712466"),
